@@ -1,28 +1,15 @@
-"""Chaos-scenario snapshot: fault-handling semantics as a CI gate.
+"""Chaos-scenario smoke test: the headline fault scenario converges.
 
-Not a paper figure — this pins the *outcome* of every packaged fault
-scenario (convergence verdict, faults injected, ops lost, replays
-deduplicated, messages dropped) in a ``pacon.bench/v1`` document.  All
-of it is simulated and seed-deterministic, so a change that alters how
-crashes, partitions, or churn resolve shows up as a snapshot diff even
-when the tier-1 tests still pass.
-
-Two faces, matching ``bench_kernel_throughput.py``:
-
-* a pytest smoke test (collected with ``benchmarks/``) asserting the
-  headline scenario converges, and
-* a snapshot emitter (``python benchmarks/bench_chaos_scenarios.py
-  --scale smoke --label chaos --out BENCH_chaos.json``).  CI gates it
-  via ``pacon-bench compare --ignore-host`` against
-  ``benchmarks/baseline_chaos.json``.
+Not a paper figure.  The outcome of every packaged fault scenario
+(convergence verdict, faults injected, ops lost, replays deduplicated,
+messages dropped) is pinned by the ``chaos`` record of
+``benchmarks/baseline_tiny.json``, which the CI perf gate compares
+against ``pacon-bench all --scale smoke``.
 """
 
 from __future__ import annotations
 
-import time
 
-
-# ------------------------------------------------------------ pytest face
 def test_chaos_smoke_mds_crash_converges():
     from repro.chaos.scenarios import run_scenario
 
@@ -30,37 +17,3 @@ def test_chaos_smoke_mds_crash_converges():
     assert result.ok, result.report.problems
     assert result.replays > 0  # the crash really hit in-flight commits
 
-
-# --------------------------------------------------------- snapshot face
-def main() -> int:  # pragma: no cover - CLI
-    import argparse
-
-    from repro.bench import chaos as driver
-    from repro.bench.snapshot import build_snapshot, write_snapshot
-    from repro.bench.systems import DEFAULT_SEED
-
-    parser = argparse.ArgumentParser(
-        prog="python benchmarks/bench_chaos_scenarios.py",
-        description="Emit a pacon.bench/v1 chaos-convergence snapshot")
-    parser.add_argument("--scale", choices=sorted(driver.SCALES),
-                        default="smoke")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--label", default="chaos")
-    parser.add_argument("--out", default=None,
-                        help="snapshot path (default BENCH_<label>.json)")
-    args = parser.parse_args()
-    t0 = time.perf_counter()
-    result = driver.run(args.scale, seed=args.seed)
-    wall = time.perf_counter() - t0
-    result.host["wall_clock_s"] = round(wall, 3)
-    doc = build_snapshot([result], label=args.label, scale=args.scale,
-                         seed=args.seed, wall_clock_s=wall)
-    path = args.out or f"BENCH_{args.label}.json"
-    write_snapshot(doc, path)
-    print(result.render())
-    print(f"snapshot written to {path}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

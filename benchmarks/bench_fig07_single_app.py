@@ -4,6 +4,7 @@ import json
 
 from repro.bench import fig07
 from repro.bench.runner import METRICS_SAMPLE_INTERVAL
+from repro.obs import schema
 from repro.obs.hub import MetricsHub
 
 
@@ -34,7 +35,7 @@ def test_fig07_single_app(benchmark, scale, tmp_path):
     artifact = tmp_path / "fig07.metrics.json"
     artifact.write_text(hub.to_json(indent=2))
     doc = json.loads(artifact.read_text())
-    assert doc["schema"] == "pacon.metrics/v1"
+    assert schema.validate(doc) == []
     hists = doc["histograms"]
     for op in ("mkdir", "create", "getattr"):
         assert hists[f"client.op.{op}.latency"]["count"] > 0

@@ -3,7 +3,7 @@
 Not a paper figure — this tracks the simulator's own event-processing
 rate so regressions in kernel hot paths (heap ops, process resume,
 resource handoff, interrupt detach) show up in benchmark history.  All
-paper-scale experiments are O(millions) of events; kernel speed bounds
+paper scale experiments are O(millions) of events; kernel speed bounds
 experiment wall-clock.
 
 Two faces:

@@ -10,7 +10,11 @@ Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Full paper-scale regeneration: ``python -m repro.bench.runner --paper-scale``.
+Run them without timing (as CI does) with::
+
+    PYTHONPATH=src python -m pytest benchmarks --benchmark-disable
+
+Full paper scale regeneration: ``pacon-bench all --scale paper``.
 """
 
 import pytest

@@ -18,11 +18,13 @@ module            paper content                               scale knob
 ``fig12``         MADbench2 runtime breakdown                 Fig. 12
 ``ablations``     commit-strategy / batch-permission /        extension
                   related-work trade-off studies
+``chaos``         fault injection: post-recovery convergence  extension
+``elastic``       flash crowd: autoscaled vs static           extension
 ================  ==========================================  ==========
 
-Each driver exposes ``run(scale=\"ci\") -> ExperimentResult`` plus a
-``main()`` CLI; ``python -m repro.bench.figNN [--paper-scale]`` regenerates
-one figure, ``python -m repro.bench.runner`` regenerates everything.
+Each driver exposes ``run(scale=\"ci\") -> ExperimentResult``;
+``pacon-bench figure NAME --scale paper`` regenerates one figure,
+``pacon-bench all --scale paper`` regenerates everything.
 """
 
 from repro.bench.report import ExperimentResult, format_table, write_markdown

@@ -35,7 +35,7 @@ from repro.workloads.mdtest import build_tree, run_random_stat
 
 __all__ = ["run_commit_ablation", "run_permission_ablation",
            "run_related_ablation", "run_mds_scaling_ablation",
-           "run_bulk_insertion_ablation", "run_all", "main", "SCALES"]
+           "run_bulk_insertion_ablation", "run_all", "SCALES"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"nodes": 2, "cpn": 4, "items": 20, "barrier_every": [0, 5],
@@ -382,15 +382,3 @@ def run_all(scale: str = "ci",
                                round(time.perf_counter() - t0, 3))
         results.append(result)
     return results
-
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    for result in run_all(scale):
-        print(result.render())
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

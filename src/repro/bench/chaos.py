@@ -5,14 +5,10 @@ scale and reports, per scenario, what the invariant checker proved: the
 convergence verdict, faults injected, ops lost to crashes, MDS replays
 absorbed by commit-token dedup, and messages dropped by the
 delivery-time network semantics.  All of these are **simulated metrics**
-— two same-seed runs produce byte-identical rows — so the snapshot
-(``benchmarks/baseline_chaos.json``) gates fault-handling semantics in
-CI the same way ``baseline_kernel.json`` gates kernel event counts.
-
-Deliberately *not* registered in ``repro.bench.runner.DRIVERS``: the
-default bench suite and its baseline stay untouched; chaos has its own
-snapshot emitter (``benchmarks/bench_chaos_scenarios.py``) and its own
-compare gate.
+— two same-seed runs produce byte-identical rows — so its record in
+``benchmarks/baseline_tiny.json`` gates fault-handling semantics in the
+CI perf gate (``pacon-bench all --scale smoke``).  ``pacon-bench chaos``
+runs the same scenarios with a per-scenario metrics export.
 """
 
 from __future__ import annotations

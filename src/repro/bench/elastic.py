@@ -37,11 +37,9 @@ acceptance axes — steady-state p99 vs. both static modes, and cost vs.
 
 All arithmetic is integer/float only (the diurnal curve is a triangle
 wave, not a sine) so snapshots are byte-identical across platforms and
-the CI compare gate can hold the simulated section exactly.
-
-Deliberately *not* registered in ``repro.bench.runner.DRIVERS`` — like
-chaos, this driver has its own emitter (``benchmarks/bench_elastic.py``)
-and its own baseline/compare gate.
+the CI perf gate can hold its record in ``benchmarks/baseline_tiny.json``
+exactly.  ``pacon-bench elastic`` runs it with a metrics export of the
+autoscaled mode.
 """
 
 from __future__ import annotations

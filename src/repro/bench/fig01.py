@@ -14,7 +14,7 @@ from repro.bench.report import ExperimentResult
 from repro.bench.systems import DEFAULT_SEED, make_testbed
 from repro.workloads.mdtest import MdtestConfig, run_mdtest
 
-__all__ = ["run", "main", "SCALES"]
+__all__ = ["run", "SCALES"]
 
 # (nodes, clients_per_node) sweep points; first point is the baseline.
 SCALES: Dict[str, Dict] = {
@@ -59,13 +59,3 @@ def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
         out.note(f"{system}: peak speedup {peak}x at up to {max_clients}"
                  f" clients — far from linear (paper Fig. 1 shape)")
     return out
-
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -14,7 +14,7 @@ from repro.bench.report import ExperimentResult
 from repro.bench.systems import DEFAULT_SEED, make_testbed
 from repro.workloads.mdtest import build_tree, run_random_stat
 
-__all__ = ["run", "main", "SCALES", "stat_throughput_at_depth"]
+__all__ = ["run", "SCALES", "stat_throughput_at_depth"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"depths": [3, 4], "fanout": 3, "nodes": 2, "cpn": 3,
@@ -62,13 +62,3 @@ def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
         out.note(f"{system}: {deepest['loss_vs_shallowest_pct']}% loss at"
                  f" depth {deepest['depth']} (paper: >47% at depth 6)")
     return out
-
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

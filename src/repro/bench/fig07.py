@@ -15,7 +15,7 @@ from repro.bench.report import ExperimentResult
 from repro.bench.systems import DEFAULT_SEED, SYSTEMS, make_testbed
 from repro.workloads.mdtest import MdtestConfig, run_mdtest
 
-__all__ = ["run", "main", "SCALES", "single_app_point",
+__all__ = ["run", "SCALES", "single_app_point",
            "batching_comparison"]
 
 SCALES: Dict[str, Dict] = {
@@ -134,13 +134,3 @@ def run(scale: str = "ci", hub: Optional[object] = None,
     if hub is not None:
         out.metrics = hub.export()
     return out
-
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

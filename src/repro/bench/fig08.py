@@ -17,7 +17,7 @@ from repro.bench.report import ExperimentResult
 from repro.bench.systems import DEFAULT_SEED, SYSTEMS, make_testbed
 from repro.workloads.mdtest import MdtestConfig, spawn_mdtest
 
-__all__ = ["run", "main", "SCALES", "multi_app_point"]
+__all__ = ["run", "SCALES", "multi_app_point"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"total_nodes": 4, "cpn": 4, "app_counts": [2, 4], "items": 15},
@@ -83,13 +83,3 @@ def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
              f" {worst_vs_indexfs:.2f}x (paper: >1.07x — the gap narrows"
              " with many apps)")
     return out
-
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

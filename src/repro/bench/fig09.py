@@ -14,7 +14,7 @@ from repro.bench.fig02 import stat_throughput_at_depth
 from repro.bench.report import ExperimentResult
 from repro.bench.systems import DEFAULT_SEED
 
-__all__ = ["run", "main", "SCALES"]
+__all__ = ["run", "SCALES"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"depths": [3, 5], "fanout": 3, "nodes": 2, "cpn": 3,
@@ -51,13 +51,3 @@ def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
         out.note(f"{system}: {deepest['loss_vs_shallowest_pct']}% loss at"
                  f" depth {deepest['depth']} (paper: {target})")
     return out
-
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

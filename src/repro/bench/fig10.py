@@ -18,7 +18,7 @@ from repro.sim.network import Cluster
 from repro.workloads.mdtest import build_tree
 from repro.workloads.memaslap import MemaslapConfig, run_memaslap
 
-__all__ = ["run", "main", "SCALES", "mkdir_throughput", "memaslap_throughput"]
+__all__ = ["run", "SCALES", "mkdir_throughput", "memaslap_throughput"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"depths": [2], "fanout": 4, "nodes": 2},
@@ -81,13 +81,3 @@ def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
     out.note("BeeGFS/IndexFS are far below the in-memory KV because their"
              " metadata writes hit the MDS disk / the DFS-backed LSM")
     return out
-
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

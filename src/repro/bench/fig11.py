@@ -15,7 +15,7 @@ from repro.bench.report import ExperimentResult, fmt_ops
 from repro.bench.systems import DEFAULT_SEED, SYSTEMS, make_testbed
 from repro.workloads.mdtest import MdtestConfig, run_mdtest
 
-__all__ = ["run", "run_aggregate", "main", "SCALES", "AGGREGATE_SCALES",
+__all__ = ["run", "run_aggregate", "SCALES", "AGGREGATE_SCALES",
            "creation_throughput"]
 
 SCALES: Dict[str, Dict] = {
@@ -122,13 +122,3 @@ def run_aggregate(scale: str = "ci",
              f" {faithful_max}); logical ops/sec = physical x multiplier"
              " (assumes load-independent per-op service times)")
     return out
-
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

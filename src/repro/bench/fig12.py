@@ -15,7 +15,7 @@ from repro.bench.report import ExperimentResult
 from repro.bench.systems import DEFAULT_SEED, make_testbed
 from repro.workloads.madbench import MadbenchConfig, run_madbench
 
-__all__ = ["run", "main", "SCALES", "madbench_point"]
+__all__ = ["run", "SCALES", "madbench_point"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"nodes": 2, "procs_per_node": 2,
@@ -71,13 +71,3 @@ def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
     out.note(f"init (creation) time: Pacon/BeeGFS = {init_p / init_b:.2f}"
              " (paper: Pacon slightly smaller)")
     return out
-
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

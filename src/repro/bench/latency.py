@@ -9,14 +9,15 @@ under a fixed concurrent load, for all three systems.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
+
+import numpy as np
 
 from repro.bench.report import ExperimentResult
 from repro.bench.systems import DEFAULT_SEED, SYSTEMS, make_testbed
 from repro.sim.resources import Barrier
-from repro.sim.stats import Histogram
 
-__all__ = ["run", "main", "SCALES"]
+__all__ = ["run", "SCALES"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"nodes": 2, "cpn": 4, "items": 25},
@@ -27,11 +28,12 @@ SCALES: Dict[str, Dict] = {
 
 def measure_create_latency(system: str, nodes: int, cpn: int,
                            items: int, seed: int = DEFAULT_SEED
-                           ) -> Histogram:
+                           ) -> List[float]:
+    """Client-observed latency of every create, in completion order."""
     bed = make_testbed(system, n_apps=1, nodes_per_app=nodes,
                        clients_per_node=cpn, seed=seed)
     env = bed.env
-    hist = Histogram(f"{system}.create")
+    samples: List[float] = []
     sync = Barrier(env, parties=len(bed.clients), name="lat")
 
     def proc(rank, client):
@@ -39,14 +41,14 @@ def measure_create_latency(system: str, nodes: int, cpn: int,
         for i in range(items):
             t0 = env.now
             yield from client.create(f"/app/f.{rank}.{i}")
-            hist.observe(env.now - t0)
+            samples.append(env.now - t0)
         yield sync.arrive()
 
     procs = [env.process(proc(rank, cl))
              for rank, cl in enumerate(bed.clients)]
     for p in procs:
         env.run(until=p)
-    return hist
+    return samples
 
 
 def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
@@ -57,16 +59,17 @@ def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
         scale=scale, seed=seed, params=dict(params))
     stats = {}
     for system in SYSTEMS:
-        hist = measure_create_latency(system, params["nodes"],
-                                      params["cpn"], params["items"],
-                                      seed=seed)
-        summary = hist.summary()
+        arr = np.asarray(measure_create_latency(
+            system, params["nodes"], params["cpn"], params["items"],
+            seed=seed))
+        summary = {"p50": float(np.percentile(arr, 50)),
+                   "p99": float(np.percentile(arr, 99))}
         stats[system] = summary
         out.add(system=system,
-                mean_us=round(summary["mean"] * 1e6, 1),
+                mean_us=round(float(np.mean(arr)) * 1e6, 1),
                 p50_us=round(summary["p50"] * 1e6, 1),
                 p99_us=round(summary["p99"] * 1e6, 1),
-                max_us=round(summary["max"] * 1e6, 1))
+                max_us=round(float(arr.max()) * 1e6, 1))
     ratio = stats["beegfs"]["p50"] / stats["pacon"]["p50"]
     out.derive("p50_speedup_vs_beegfs", round(ratio, 3))
     out.derive("pacon_p99_us", round(stats["pacon"]["p99"] * 1e6, 1))
@@ -75,12 +78,3 @@ def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
              " (paper §III.A Benefit 3)")
     return out
 
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

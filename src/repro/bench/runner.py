@@ -1,8 +1,8 @@
 """Run every experiment and write the consolidated report + snapshot.
 
-``python -m repro.bench.runner [--scale ci|smoke|paper] [--seed N]
-[--out report.md] [--metrics-out metrics.json] [--bench-out snap.json]
-[--label LABEL] [--no-snapshot]``
+``pacon-bench all [--scale ci|smoke|paper] [--seed N] [--out report.md]
+[--metrics-out metrics.json] [--bench-out snap.json]`` drives
+:func:`run_all`; ``pacon-bench figure NAME`` runs one driver.
 
 Besides the human-readable markdown report, the runner collects every
 driver's structured record into a versioned, schema-validated
@@ -12,20 +12,20 @@ that ``pacon-bench compare``/``history`` and the CI perf gate consume.
 
 from __future__ import annotations
 
-import argparse
 import inspect
 import time
-from typing import Any, List, Optional
+from typing import List, Optional
 
-from repro.bench import ablations, fig01, fig02, fig07, fig08, fig09, \
-    fig10, fig11, fig12, latency, sensitivity, staleness, table1
-from repro.bench.report import ExperimentResult, write_markdown
+from repro.bench import ablations, chaos, elastic, fig01, fig02, fig07, \
+    fig08, fig09, fig10, fig11, fig12, latency, sensitivity, staleness, \
+    table1
+from repro.bench.report import ExperimentResult
 from repro.bench.systems import DEFAULT_SEED
 
-__all__ = ["run_all", "write_snapshot_file", "main", "DEFAULT_SEED"]
+__all__ = ["run_all", "write_snapshot_file", "DEFAULT_SEED"]
 
 DRIVERS = [fig01, fig02, table1, fig07, fig08, fig09, fig10, fig11, fig12,
-           latency, sensitivity, staleness]
+           latency, sensitivity, staleness, chaos, elastic]
 
 #: Simulated seconds between observability gauge samples when a bench run
 #: collects metrics.
@@ -61,7 +61,11 @@ def run_all(scale: str = "ci", verbose: bool = True,
     for driver in DRIVERS:
         t0 = time.perf_counter()
         kwargs = {}
-        if hub is not None and _accepts(driver.run, "hub"):
+        # The elastic rows read their own hub (its getattr latency
+        # sketch and sampling cadence), so a shared hub would change
+        # them; `pacon-bench elastic --metrics-out` exports that hub.
+        if hub is not None and driver is not elastic \
+                and _accepts(driver.run, "hub"):
             kwargs["hub"] = hub
         if _accepts(driver.run, "seed"):
             kwargs["seed"] = seed
@@ -95,49 +99,3 @@ def write_snapshot_file(results: List[ExperimentResult], *, scale: str,
                               wall_clock_s=wall_clock_s)
     return snap.write_snapshot(doc, path)
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.runner",
-        description="Regenerate every experiment; write the markdown"
-                    " report and the BENCH_*.json snapshot.")
-    parser.add_argument("--scale", choices=("smoke", "ci", "paper"),
-                        default="ci")
-    parser.add_argument("--paper-scale", action="store_true",
-                        help="legacy alias for --scale paper")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="RNG seed for every driver's clusters"
-                             " (default 0xBEE)")
-    parser.add_argument("--out", default=None,
-                        help="write a markdown report here")
-    parser.add_argument("--metrics-out", default=None,
-                        help="write a MetricsHub JSON artifact here")
-    parser.add_argument("--bench-out", default=None, metavar="SNAPSHOT",
-                        help="snapshot path (default: BENCH_<label>.json)")
-    parser.add_argument("--label", default=None,
-                        help="snapshot label (default: short git SHA)")
-    parser.add_argument("--no-snapshot", action="store_true",
-                        help="skip writing the BENCH_*.json snapshot")
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    scale = "paper" if args.paper_scale else args.scale
-    t0 = time.perf_counter()
-    results = run_all(scale, metrics_path=args.metrics_out, seed=args.seed)
-    wall_clock = time.perf_counter() - t0
-    if args.out:
-        write_markdown(results, args.out)
-        print(f"report written to {args.out}")
-    if not args.no_snapshot:
-        path = write_snapshot_file(results, scale=scale, seed=args.seed,
-                                   path=args.bench_out, label=args.label,
-                                   wall_clock_s=wall_clock)
-        print(f"bench snapshot written to {path}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-    sys.exit(main())

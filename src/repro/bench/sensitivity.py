@@ -17,7 +17,7 @@ from repro.bench.systems import DEFAULT_SEED, make_testbed
 from repro.sim.costs import CostModel
 from repro.workloads.mdtest import MdtestConfig, run_mdtest
 
-__all__ = ["run", "main", "SCALES"]
+__all__ = ["run", "SCALES"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"nodes": 2, "cpn": 4, "items": 15,
@@ -67,7 +67,7 @@ def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
             # The paper's core claim: Pacon beats both baselines.  (The
             # IndexFS-vs-BeeGFS ordering is scale-dependent: IndexFS only
             # overtakes once GIGA+ splitting spreads the hot directory,
-            # which needs paper-scale entry counts.)
+            # which needs paper scale entry counts.)
             ordering_ok = (ops["pacon"] > ops["indexfs"]
                            and ops["pacon"] > ops["beegfs"])
             orderings_hold = orderings_hold and ordering_ok
@@ -84,13 +84,3 @@ def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
              + (" holds under every perturbation tested"
                 if orderings_hold else " is VIOLATED somewhere — see rows"))
     return out
-
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

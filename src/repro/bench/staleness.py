@@ -23,7 +23,7 @@ from repro.bench.report import ExperimentResult
 from repro.bench.systems import DEFAULT_SEED, make_testbed
 from repro.workloads.mdtest import MdtestConfig, run_mdtest
 
-__all__ = ["run", "main", "SCALES", "staleness_point"]
+__all__ = ["run", "SCALES", "staleness_point"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"nodes": 2, "cpn": 4, "items": 15, "batch_sizes": [1, 8]},
@@ -102,13 +102,3 @@ def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
              f" {last['batch']}; every run quiesced with"
              f" {last['pending_end']} pending mutations")
     return out
-
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -12,7 +12,7 @@ from typing import Dict
 from repro.bench.report import ExperimentResult
 from repro.bench.systems import DEFAULT_SEED, make_testbed
 
-__all__ = ["run", "main", "DESIGN_TABLE"]
+__all__ = ["run", "DESIGN_TABLE"]
 
 #: The paper's Table I, row per operation.
 DESIGN_TABLE: Dict[str, Dict[str, str]] = {
@@ -81,13 +81,3 @@ def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
     out.note("all operations conform to Table I" if all_match
              else "CONFORMANCE FAILURE — see rows")
     return out
-
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -161,19 +161,12 @@ class ChaosEngine:
     def _run_fault(self, fault: Fault):
         yield self.env.timeout(fault.at)
         hub = self.region.hub
-        tracer = self.region.tracer
+        label = f"{fault.kind}[{fault.target}]"
         injected_at = self.env.now
         record = FaultRecord(kind=fault.kind, target=fault.target,
                              injected_at=injected_at, recovered_at=-1.0)
-        tracer.emit(injected_at, "chaos", "inject",
-                    f"{fault.kind}[{fault.target}]")
-        inject_seq = -1
-        if hub.enabled:
-            hub.count("chaos.injected")
-            hub.count(f"chaos.fault.{fault.kind}")
-            inject_seq = hub.timeline.record(
-                injected_at, "chaos", "fault.injected",
-                f"{fault.kind}[{fault.target}]")
+        inject_seq = hub.control(injected_at, "chaos", "fault.injected",
+                                 label)
 
         if fault.kind == "node_crash":
             node = self.region.nodes[fault.target % len(self.region.nodes)]
@@ -215,13 +208,6 @@ class ChaosEngine:
 
         record.recovered_at = self.env.now
         self.records.append(record)
-        tracer.emit(self.env.now, "chaos", "recover",
-                    f"{fault.kind}[{fault.target}]")
-        if hub.enabled:
-            hub.count("chaos.recovered")
-            hub.observe("chaos.downtime", self.env.now - injected_at)
-            hub.timeline.record(
-                self.env.now, "chaos", "fault.recovered",
-                f"{fault.kind}[{fault.target}]",
-                detail=record.detail, ref=inject_seq)
+        hub.control(self.env.now, "chaos", "fault.recovered", label,
+                    detail=record.detail, ref=inject_seq)
         return record

@@ -379,7 +379,8 @@ def _cmd_history(args) -> int:
     paths = args.snapshots or collect_snapshot_paths(".")
     if not paths:
         print("no BENCH_*.json snapshots found (pass paths or run"
-              " `python -m repro.bench.runner` first)", file=sys.stderr)
+              " `pacon-bench all --bench-label LABEL` first)",
+              file=sys.stderr)
         return 2
     try:
         docs = load_history(paths)

@@ -30,10 +30,11 @@ An optional SLO hook (``autoscale_burn_threshold``) evaluates a
 burn-rate objective over the region's ``consistency.pending_age`` gauge
 series and forces a scale-up when the error budget is burning on every
 window, regardless of the utilization streak (still cooldown- and
-max-bounded).  Scaling actions emit ``autoscale.*`` counters/series into
-the attached hub and ``autoscale.grow``/``autoscale.retire`` trace
-events, and every action is recorded as an :class:`AutoscaleAction` for
-tests and the bench driver.
+max-bounded).  Every action is recorded as an :class:`AutoscaleAction`
+for tests and the bench driver, and as one ``scale.*`` control-plane
+event through :meth:`repro.obs.hub.MetricsHub.control`, which feeds the
+``autoscale.*`` counters; the control loop samples ``autoscale.*``
+gauge series.
 
 The controller composes with the chaos engine: a grow that races a node
 crash either completes (crashed peers are skipped by the migration) or
@@ -48,6 +49,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.core.deploy import PaconDeployment
 from repro.core.region import ConsistentRegion
+from repro.obs.timeline import JOINED
 from repro.sim.core import Event, Interrupt
 from repro.sim.network import Node, NodeDownError
 
@@ -84,10 +86,7 @@ class Autoscaler:
         #: mode shares an identical cluster topology.
         self.node_factory = node_factory or self._default_factory
         self.actions: List[AutoscaleAction] = []
-        self.scale_ups = 0
-        self.scale_downs = 0
         self.rejected = 0
-        self.failed = 0
         self._added: List[Node] = []     # retirement candidates, LIFO
         self._up_streak = 0
         self._down_streak = 0
@@ -107,6 +106,18 @@ class Autoscaler:
     @property
     def hub(self):
         return self.region.hub
+
+    @property
+    def scale_ups(self) -> int:
+        return sum(1 for a in self.actions if a.kind == "grow" and a.ok)
+
+    @property
+    def scale_downs(self) -> int:
+        return sum(1 for a in self.actions if a.kind == "retire" and a.ok)
+
+    @property
+    def failed(self) -> int:
+        return sum(1 for a in self.actions if a.error)
 
     # -- lifecycle ---------------------------------------------------------
     def start(self):
@@ -248,67 +259,20 @@ class Autoscaler:
 
     def _reject(self, kind: str, reason: str) -> None:
         self.rejected += 1
-        hub = self.hub
-        if hub.enabled:
-            hub.count("autoscale.rejected")
-            hub.timeline.record(self.env.now, "autoscale",
-                                "scale.rejected", kind, detail=reason)
-        self.region.tracer.emit(self.env.now, "autoscaler",
-                                "autoscale.rejected", f"{kind} {reason}")
+        self.hub.control(self.env.now, "autoscale", "scale.rejected", kind,
+                         detail=reason)
 
     # -- acting ------------------------------------------------------------
     def _scale_up(self, reason: str) -> Generator[Event, Any, None]:
         region = self.region
-        t0 = self.env.now
         node = self.node_factory()
-        region.tracer.emit(t0, "autoscaler", "autoscale.grow",
-                           f"{node.name} reason={reason}")
-        action = AutoscaleAction(time=t0, kind="grow", node=node.name,
-                                 reason=reason, ok=False)
-        self.actions.append(action)
-        self._last_action_at = t0
-        try:
-            moved = yield from self.deployment.grow_region_async(region,
-                                                                 node)
-        except NodeDownError as exc:
-            # A crash raced the growth.  If the node joined before the
-            # failure, keep it: its (partially migrated) shard refills
-            # from the DFS on demand.  If it never joined, drop it.
-            self.failed += 1
-            action.error = str(exc) or type(exc).__name__
-            action.ok = node in region.nodes
-            action.latency = self.env.now - t0
-            if self.hub.enabled:
-                # Failed attempts cost time too: record their latency and
-                # a structured reason so incident blame can rank them.
-                self.hub.count("autoscale.action_failed")
-                self.hub.count("autoscale.action_failed"
-                               f"[grow:{type(exc).__name__}]")
-                self.hub.observe("autoscale.action_latency",
-                                 action.latency)
-                self.hub.timeline.record(
-                    t0, "autoscale", "scale.failed", node.name,
-                    detail=f"grow reason={reason} error={action.error}",
-                    duration=action.latency)
-        else:
-            action.ok = True
-            action.moved = moved
-            action.latency = self.env.now - t0
+        action = yield from self._act(
+            "grow", node, reason,
+            self.deployment.grow_region_async(region, node), NodeDownError)
         if action.ok:
-            self.scale_ups += 1
             self._added.append(node)
             hub = self.hub
             if hub.enabled:
-                hub.count("autoscale.scale_up")
-                # A crash-raced grow that still landed already observed
-                # its latency (and a scale.failed event) above.
-                if not action.error:
-                    hub.observe("autoscale.action_latency",
-                                action.latency)
-                    hub.timeline.record(
-                        t0, "autoscale", "scale.grow", node.name,
-                        detail=f"reason={reason} moved={action.moved}",
-                        duration=action.latency)
                 # New node + shard join the contention snapshot and the
                 # running sampler's resource.util[*] series.
                 hub.track_resource(region, node.cpu)
@@ -321,46 +285,43 @@ class Autoscaler:
 
     def _scale_down(self, node: Node,
                     reason: str) -> Generator[Event, Any, None]:
-        region = self.region
+        action = yield from self._act(
+            "retire", node, reason,
+            self.deployment.retire_node_async(self.region, node),
+            (NodeDownError, ValueError, RuntimeError))
+        if action.ok and node in self._added:
+            self._added.remove(node)
+
+    def _act(self, kind: str, node: Node, reason: str, migration,
+             errors) -> Generator[Event, Any, AutoscaleAction]:
+        """Drive one grow/retire migration; record its action and event.
+
+        A failure is recorded, never raised: it costs time too, so its
+        ``scale.failed`` event carries the latency and a structured
+        ``<kind>:<ExcType>`` cause that incident blame can rank.
+        """
         t0 = self.env.now
-        region.tracer.emit(t0, "autoscaler", "autoscale.retire",
-                           f"{node.name} reason={reason}")
-        action = AutoscaleAction(time=t0, kind="retire", node=node.name,
+        action = AutoscaleAction(time=t0, kind=kind, node=node.name,
                                  reason=reason, ok=False)
         self.actions.append(action)
         self._last_action_at = t0
         try:
-            moved = yield from self.deployment.retire_node_async(region,
-                                                                 node)
-        except (NodeDownError, ValueError, RuntimeError) as exc:
-            self.failed += 1
+            action.moved = yield from migration
+        except errors as exc:
             action.error = str(exc) or type(exc).__name__
-            action.latency = self.env.now - t0
-            if self.hub.enabled:
-                # Symmetric with the success path: failed retires record
-                # their latency and a structured reason too.
-                self.hub.count("autoscale.action_failed")
-                self.hub.count("autoscale.action_failed"
-                               f"[retire:{type(exc).__name__}]")
-                self.hub.observe("autoscale.action_latency",
-                                 action.latency)
-                self.hub.timeline.record(
-                    t0, "autoscale", "scale.failed", node.name,
-                    detail=f"retire reason={reason}"
-                           f" error={action.error}",
-                    duration=action.latency)
+            # A grow whose node joined before a racing crash keeps the
+            # node (its partially migrated shard refills from the DFS on
+            # demand), which also counts as a scale-up.
+            action.ok = kind == "grow" and node in self.region.nodes
+            event = "scale.failed"
+            kept = f" {JOINED}" if action.ok else ""
+            detail = (f"{kind}:{type(exc).__name__} reason={reason}{kept}"
+                      f" error={action.error}")
         else:
             action.ok = True
-            action.moved = moved
-            action.latency = self.env.now - t0
-            self.scale_downs += 1
-            if node in self._added:
-                self._added.remove(node)
-            if self.hub.enabled:
-                self.hub.count("autoscale.scale_down")
-                self.hub.observe("autoscale.action_latency",
-                                 action.latency)
-                self.hub.timeline.record(
-                    t0, "autoscale", "scale.retire", node.name,
-                    detail=f"reason={reason} moved={moved}",
-                    duration=action.latency)
+            event = f"scale.{kind}"
+            detail = f"reason={reason} moved={action.moved}"
+        action.latency = self.env.now - t0
+        self.hub.control(t0, "autoscale", event, node.name, detail=detail,
+                         duration=action.latency)
+        return action

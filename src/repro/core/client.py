@@ -255,13 +255,10 @@ class PaconClient:
             while len(queue) >= capacity:
                 yield self.env.timeout(self.region.config.commit_retry_delay)
             self._stage_end(stall_ctx)
-            if self.region.hub.enabled:
-                stalled = self.env.now - stall_started
-                self.region.hub.observe("commit.publish_stall", stalled)
-                self.region.hub.count("commit.publish_stalls")
-                self.region.hub.timeline.record(
-                    stall_started, "commit", "backpressure.stall",
-                    queue.name, detail=f"{op} {path}", duration=stalled)
+            self.region.hub.control(
+                stall_started, "commit", "backpressure.stall", queue.name,
+                detail=f"{op} {path}",
+                duration=self.env.now - stall_started)
         if self.costs.commit_queue_push > 0:
             yield self.env.timeout(self.costs.commit_queue_push)
         msg = OpMessage(op=op, path=path, mode=mode, uid=self.uid,

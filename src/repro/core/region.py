@@ -189,10 +189,8 @@ class ConsistentRegion:
         else:
             self._deferred_barrier_parties.append(self.client_epoch)
         self.membership_log.append((self.env.now, len(self.nodes)))
-        if self.hub.enabled:
-            self.hub.timeline.record(
-                self.env.now, "membership", "node.joined", node.name,
-                detail=f"nodes={len(self.nodes)}")
+        self.hub.control(self.env.now, "membership", "node.joined",
+                         node.name, detail=f"nodes={len(self.nodes)}")
         return shard
 
     def remove_node(self, node: Node) -> "CacheShard":
@@ -231,10 +229,8 @@ class ConsistentRegion:
         del self.clients_on_node[node.node_id]
         self.commit_barrier.parties -= 1
         self.membership_log.append((self.env.now, len(self.nodes)))
-        if self.hub.enabled:
-            self.hub.timeline.record(
-                self.env.now, "membership", "node.departed", node.name,
-                detail=f"nodes={len(self.nodes)}")
+        self.hub.control(self.env.now, "membership", "node.departed",
+                         node.name, detail=f"nodes={len(self.nodes)}")
         return shard
 
     def node_seconds(self, until: Optional[float] = None) -> float:

@@ -23,19 +23,13 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.sampler import GaugeSampler
-from repro.obs.timeline import NULL_TIMELINE, Timeline
+from repro.obs.timeline import NULL_TIMELINE, Timeline, control_metrics
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import NULL_TRACER, Tracer
 
 __all__ = ["MetricsHub", "NULL_HUB", "attribution_rollup"]
 
 SCHEMA = "pacon.metrics/v4"
-
-#: Previous schema versions; each bump is additive (v3 added
-#: ``consistency`` + ``slo``, v4 adds ``timeline`` + ``incidents``), so
-#: older consumers can read a newer document unchanged.
-SCHEMA_V3 = "pacon.metrics/v3"
-SCHEMA_V2 = "pacon.metrics/v2"
 
 
 class MetricsHub:
@@ -129,6 +123,31 @@ class MetricsHub:
 
     def count(self, name: str, n: int = 1) -> None:
         self.stats.counter(name).inc(n)
+
+    def control(self, time: float, source: str, kind: str, label: str,
+                detail: str = "", duration: float = 0.0,
+                ref: int = -1) -> int:
+        """Record one control-plane event; returns its timeline ``seq``.
+
+        Appends the :class:`~repro.obs.timeline.Timeline` event and
+        feeds the counters and sketch its kind names in
+        :data:`~repro.obs.timeline.CONTROL_METRICS`.  An event closing
+        an earlier one (``ref``) observes the time since that event,
+        every other event its own ``duration``.
+        """
+        counters, sketch = control_metrics(kind, label, detail)
+        for name in counters:
+            self.stats.counter(name).inc()
+        if sketch:
+            value: Optional[float] = duration
+            if ref >= 0:
+                opened = self.timeline.time_of(ref)
+                value = None if opened is None else time - opened
+            if value is not None:
+                self.stats.sketch(sketch).observe(value)
+        return self.timeline.record(time, source, kind, label,
+                                    detail=detail, duration=duration,
+                                    ref=ref)
 
     def record_sample(self, name: str, time: float, value: float) -> None:
         self.stats.series(name).append(time, value)
@@ -248,7 +267,7 @@ class MetricsHub:
 
     # -- export ------------------------------------------------------------
     def consistency_snapshot(self) -> Dict[str, Any]:
-        """Cross-tier staleness/visibility rollup (v3 ``consistency``).
+        """Cross-tier staleness/visibility rollup (``consistency``).
 
         Merges the per-``tier:op`` staleness sketches into headline
         distributions (sketch buckets add exactly, so the merge is
@@ -310,7 +329,6 @@ class MetricsHub:
             "enabled": self.enabled,
             "counters": self.stats.counters(),
             "histograms": self.stats.histograms(),
-            "meters": self.stats.meters(),
             "series": self.stats.series_export(),
             "regions": regions,
             "clients": _client_snapshot(self._clients),
@@ -472,6 +490,9 @@ class _NullHub(MetricsHub):
 
     def count(self, *a, **kw) -> None:  # pragma: no cover - trivial
         return
+
+    def control(self, *a, **kw) -> int:  # pragma: no cover - trivial
+        return -1
 
     def record_sample(self, *a, **kw) -> None:  # pragma: no cover
         return

@@ -14,7 +14,7 @@ tables and a top-N list:
 
 All numbers come from :func:`repro.obs.hub.attribution_rollup` and
 :meth:`MetricsHub.resource_snapshot`, so the report always agrees with
-the exported ``pacon.metrics/v2`` document.
+the exported ``pacon.metrics/v4`` document.
 """
 
 from __future__ import annotations

@@ -4,327 +4,209 @@ Two contracts live here:
 
 * ``pacon.metrics/v4`` (:func:`validate`) — the MetricsHub export.  CI
   runs an instrumented fig. 7 smoke pass and feeds the ``--metrics-out``
-  JSON through it — renaming a metric, dropping a top-level section, or
-  bumping the schema string without updating this contract fails the
-  build instead of silently breaking downstream dashboards.  Each bump
-  is additive: v3 added ``consistency`` + ``slo`` over v2, v4 adds
-  ``timeline`` + ``incidents`` (the incident flight recorder); archived
-  v3/v2 documents still validate, minus the newer requirements.
+  JSON through it — renaming a metric, dropping a section, or bumping
+  the schema string without updating this contract fails the build
+  instead of silently breaking downstream dashboards.
 * ``pacon.bench/v1`` (:func:`validate_bench`) — the benchmark snapshot
-  (``BENCH_<label>.json``) written by ``repro.bench.runner``.  The CI
-  perf gate and ``pacon-bench compare``/``history`` refuse documents
-  that drift from it.
+  (``BENCH_<label>.json``) written by ``pacon-bench all``.  The CI perf
+  gate and ``pacon-bench compare``/``history`` refuse documents that
+  drift from it.
 
-The required-name lists are the metrics an instrumented Pacon run is
+Each contract is a table of ``(path, required fields)`` rows checked by
+one walker, plus a few ``(path, predicate, expectation)`` value rows.
+A path walks the document from its root: dot-separated object keys,
+``*`` for every value of an object, ``[]`` for every element of a list.
+Missing nodes are skipped (the parent row reports the absent field);
+a node of the wrong type is reported once.
+
+The required metric names are the ones an instrumented Pacon run is
 *guaranteed* to produce (counters and histograms are created lazily, so
 conditionally emitted series — discards, publish stalls — are not
-required, only structurally checked when present).
+required).
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
-from repro.obs.hub import SCHEMA, SCHEMA_V2, SCHEMA_V3
+from repro.obs.hub import SCHEMA
 
-__all__ = ["SCHEMA", "SCHEMA_V2", "SCHEMA_V3", "BENCH_SCHEMA", "validate",
-           "validate_bench", "validate_chaos", "validate_any", "main",
-           "REQUIRED_TOP_LEVEL", "REQUIRED_COUNTERS",
-           "REQUIRED_HISTOGRAMS", "REQUIRED_REGION_COMMIT_FIELDS",
-           "REQUIRED_ATTRIBUTION_FIELDS",
-           "REQUIRED_CONSISTENCY_FIELDS", "REQUIRED_SLO_FIELDS",
-           "REQUIRED_TIMELINE_FIELDS", "REQUIRED_INCIDENTS_FIELDS",
-           "REQUIRED_INCIDENT_FIELDS", "REQUIRED_SUSPECT_FIELDS",
-           "REQUIRED_CHAOS_COUNTERS", "REQUIRED_CHAOS_HISTOGRAMS",
-           "REQUIRED_BENCH_TOP_LEVEL", "REQUIRED_BENCH_EXPERIMENT_FIELDS"]
+__all__ = ["SCHEMA", "BENCH_SCHEMA", "METRICS_CONTRACT", "BENCH_CONTRACT",
+           "CHAOS_CONTRACT", "validate", "validate_bench",
+           "validate_chaos", "validate_any", "main"]
 
 #: Version string of the benchmark snapshot document.
 BENCH_SCHEMA = "pacon.bench/v1"
 
-#: Top-level sections of a ``pacon.bench/v1`` snapshot.
-REQUIRED_BENCH_TOP_LEVEL = ("schema", "label", "scale", "seed",
-                            "experiments", "host")
+Rule = Tuple[str, Tuple[str, ...]]
+ValueRule = Tuple[str, Callable[[Any], bool], str]
 
-#: Fields every per-experiment record must carry.  ``rows``/``derived``
-#: are the simulated (deterministic) payload; ``host`` holds harness
-#: wall-clock facts and is excluded from byte-identity guarantees.
-REQUIRED_BENCH_EXPERIMENT_FIELDS = ("title", "scale", "seed", "params",
-                                    "rows", "derived", "notes", "host")
 
-#: v2 = v1 plus the additive ``attribution`` and ``resources`` sections
-#: (latency decomposition and the resource profiler).
-REQUIRED_TOP_LEVEL = ("schema", "enabled", "counters", "histograms",
-                      "meters", "series", "regions", "clients",
-                      "attribution", "resources", "trace")
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-#: v3-only top-level sections (the consistency observatory).
-REQUIRED_TOP_LEVEL_V3 = REQUIRED_TOP_LEVEL + ("consistency", "slo")
 
-#: v4-only top-level sections (the incident flight recorder).
-REQUIRED_TOP_LEVEL_V4 = REQUIRED_TOP_LEVEL_V3 + ("timeline", "incidents")
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
-#: Fields of the v4 ``timeline`` section (the control-plane event log).
-REQUIRED_TIMELINE_FIELDS = ("count", "dropped", "events")
 
-#: Fields every timeline event must carry.
-REQUIRED_TIMELINE_EVENT_FIELDS = ("seq", "t", "source", "kind", "label",
-                                  "detail", "duration", "ref")
+#: The ``pacon.metrics/v4`` export.
+METRICS_CONTRACT: Tuple[Rule, ...] = (
+    ("", ("schema", "enabled", "counters", "histograms", "series",
+          "regions", "clients", "attribution", "resources", "trace",
+          "consistency", "slo", "timeline", "incidents")),
+    ("counters", ("client.ops", "commit.published", "commit.committed")),
+    # commit.batch_size appears whenever the batched drain path runs,
+    # i.e. any config with commit_batch_size > 1 (the default).
+    ("histograms", ("commit.latency", "commit.batch_size")),
+    ("regions.*.commit", ("committed", "discarded", "resubmissions",
+                          "coalesced", "barriers_passed", "replays",
+                          "aborts")),
+    ("attribution", ("ops", "total_ops", "buckets")),
+    ("attribution.ops.*", ("count", "mean_latency", "buckets",
+                           "residual")),
+    ("resources", ()),
+    ("consistency", ("reads", "orphan_reads", "staleness",
+                     "staleness_p99", "visibility", "pending_mutations",
+                     "shard_reads", "sketches")),
+    ("consistency.staleness", ("age", "lag")),
+    ("consistency.sketches.*", ("buckets",)),
+    ("slo", ("policy", "verdict", "objectives")),
+    ("slo.objectives[]", ("name", "kind", "metric", "measured", "target",
+                          "ok")),
+    ("timeline", ("count", "dropped", "events")),
+    ("timeline.events[]", ("seq", "t", "source", "kind", "label",
+                           "detail", "duration", "ref")),
+    ("incidents", ("policy", "count", "incidents")),
+    ("incidents.incidents[]", ("id", "rule", "series", "start", "end",
+                               "duration", "peak", "bound", "verdict",
+                               "suspects", "saturated")),
+    ("incidents.incidents[].suspects[]", ("rank", "seq", "kind", "label",
+                                          "t", "score", "evidence")),
+)
 
-#: Fields of the v4 ``incidents`` section.
-REQUIRED_INCIDENTS_FIELDS = ("policy", "count", "incidents")
+METRICS_VALUES: Tuple[ValueRule, ...] = (
+    ("schema", lambda v: v == SCHEMA, repr(SCHEMA)),
+    ("regions", bool, "at least one region (hub never attached?)"),
+    ("slo.verdict", lambda v: v in ("pass", "fail"), "'pass' or 'fail'"),
+)
 
-#: Fields every detected incident must carry.
-REQUIRED_INCIDENT_FIELDS = ("id", "rule", "series", "start", "end",
-                            "duration", "peak", "bound", "verdict",
-                            "suspects", "saturated")
+#: Fault-injection runs (``pacon-bench chaos``) on top of the metrics
+#: contract: every fault injects and recovers, and every recovery
+#: observes its downtime.
+CHAOS_CONTRACT: Tuple[Rule, ...] = (
+    ("counters", ("chaos.injected", "chaos.recovered")),
+    ("histograms", ("chaos.downtime",)),
+)
 
-#: Fields every blamed suspect must carry.
-REQUIRED_SUSPECT_FIELDS = ("rank", "seq", "kind", "label", "t", "score",
-                           "evidence")
+#: The ``pacon.bench/v1`` snapshot.  ``rows``/``derived`` are the
+#: simulated (deterministic) payload; ``host`` holds harness wall-clock
+#: facts and is excluded from byte-identity guarantees.
+BENCH_CONTRACT: Tuple[Rule, ...] = (
+    ("", ("schema", "label", "scale", "seed", "experiments", "host")),
+    ("host", ()),
+    ("experiments.*", ("title", "scale", "seed", "params", "rows",
+                       "derived", "notes", "host")),
+    ("experiments.*.rows[]", ()),
+    ("experiments.*.derived", ()),
+    ("experiments.*.host", ()),
+)
 
-#: Fields of the v3 ``consistency`` section.
-REQUIRED_CONSISTENCY_FIELDS = ("reads", "orphan_reads", "staleness",
-                               "staleness_p99", "visibility",
-                               "pending_mutations", "shard_reads",
-                               "sketches")
+BENCH_VALUES: Tuple[ValueRule, ...] = (
+    ("schema", lambda v: v == BENCH_SCHEMA, repr(BENCH_SCHEMA)),
+    ("seed", _is_int, "an integer"),
+    ("experiments", bool, "at least one experiment (runner never ran?)"),
+    ("experiments.*.rows", bool, "at least one row"),
+    ("experiments.*.derived.*", _is_number, "a number"),
+    ("experiments.*.seed", lambda v: v is None or _is_int(v),
+     "an integer"),
+)
 
-#: Fields of the v3 ``slo`` section (one evaluated PolicyResult).
-REQUIRED_SLO_FIELDS = ("policy", "verdict", "objectives")
+#: Fields that name a list element in problem messages, in preference
+#: order; elements without one are named by index.
+_ID_FIELDS = ("id", "seq", "name")
 
-#: Fields of the ``attribution`` section (`attribution.ops.*` entries
-#: additionally carry count/mean_latency/buckets/residual, checked below).
-REQUIRED_ATTRIBUTION_FIELDS = ("ops", "total_ops", "buckets")
 
-#: Counters every instrumented Pacon workload run must have produced.
-REQUIRED_COUNTERS = ("client.ops", "commit.published", "commit.committed")
+def _element_label(index: int, element: Any) -> str:
+    if isinstance(element, dict):
+        for field in _ID_FIELDS:
+            if field in element:
+                return f"[{field}={element[field]!r}]"
+    return f"[{index}]"
 
-#: Histograms likewise (commit.batch_size appears whenever the batched
-#: drain path runs, i.e. any config with commit_batch_size > 1 — the
-#: default).
-REQUIRED_HISTOGRAMS = ("commit.latency", "commit.batch_size")
 
-#: Per-region commit snapshot fields (``regions.*.commit``).
-REQUIRED_REGION_COMMIT_FIELDS = ("committed", "discarded", "resubmissions",
-                                 "coalesced", "barriers_passed", "replays",
-                                 "aborts")
+def _walk(node: Any, steps: Sequence[str], label: str,
+          problems: List[str]) -> Iterator[Tuple[str, Any]]:
+    """Yield ``(label, node)`` for every node ``steps`` reaches."""
+    if not steps:
+        yield label, node
+        return
+    step, rest = steps[0], steps[1:]
+    if step == "[]":
+        if not isinstance(node, list):
+            problems.append(f"{label} is not a list")
+            return
+        for index, element in enumerate(node):
+            yield from _walk(element, rest,
+                             label + _element_label(index, element),
+                             problems)
+        return
+    if not isinstance(node, dict):
+        problems.append(f"{label} is not an object")
+        return
+    keys = list(node) if step == "*" else [step] if step in node else []
+    for key in keys:
+        yield from _walk(node[key], rest,
+                         key if label == "document" else f"{label}.{key}",
+                         problems)
 
-#: Counters a hub-instrumented chaos run (``pacon-bench chaos``) must
-#: have produced: every fault emits inject/recover, and the
-#: delivery-time network semantics drop at least the crashed/partitioned
-#: round trips.  ``net.dropped`` is required structurally but may be 0
-#: for planned churn.
-REQUIRED_CHAOS_COUNTERS = ("chaos.injected", "chaos.recovered")
 
-#: Histograms a chaos run must have produced (one downtime observation
-#: per recovered fault).
-REQUIRED_CHAOS_HISTOGRAMS = ("chaos.downtime",)
+def _check(doc: Any, rules: Sequence[Rule],
+           values: Sequence[ValueRule] = ()) -> List[str]:
+    """Run one contract over ``doc``; returns de-duplicated problems."""
+    problems: List[str] = []
+
+    def nodes(path: str) -> Iterator[Tuple[str, Any]]:
+        steps = path.replace("[]", ".[]").split(".") if path else []
+        return _walk(doc, steps, "document", problems)
+
+    for path, fields in rules:
+        for label, node in nodes(path):
+            if not isinstance(node, dict):
+                problems.append(f"{label} is not an object")
+                continue
+            problems.extend(f"{label} missing {field!r}"
+                            for field in fields if field not in node)
+    for path, ok, expected in values:
+        for label, value in nodes(path):
+            if not ok(value):
+                problems.append(f"{label} is {value!r}, expected"
+                                f" {expected}")
+    return list(dict.fromkeys(problems))
 
 
 def validate(doc: Dict[str, Any]) -> List[str]:
-    """Return a list of schema-drift problems (empty means conformant).
-
-    Dispatches on the document's own schema string: ``pacon.metrics/v4``
-    documents must carry the ``timeline`` and ``incidents`` sections on
-    top of the v3 ``consistency``/``slo`` requirements; archived
-    ``pacon.metrics/v3`` and ``v2`` documents validate against their own
-    contracts unchanged (each bump is additive).
-    """
-    problems: List[str] = []
+    """Return a list of schema-drift problems (empty means conformant)."""
     if not isinstance(doc, dict):
         return [f"document is {type(doc).__name__}, expected object"]
-    schema = doc.get("schema")
-    if schema not in (SCHEMA, SCHEMA_V3, SCHEMA_V2):
-        problems.append(f"schema is {schema!r}, expected {SCHEMA!r}"
-                        f" (or legacy {SCHEMA_V3!r} / {SCHEMA_V2!r})")
-    if schema == SCHEMA:
-        required = REQUIRED_TOP_LEVEL_V4
-    elif schema == SCHEMA_V3:
-        required = REQUIRED_TOP_LEVEL_V3
-    else:
-        required = REQUIRED_TOP_LEVEL
-    for key in required:
-        if key not in doc:
-            problems.append(f"missing top-level section {key!r}")
-    if schema in (SCHEMA, SCHEMA_V3):
-        problems.extend(_validate_v3_sections(doc))
-    if schema == SCHEMA:
-        problems.extend(_validate_v4_sections(doc))
-    counters = doc.get("counters", {})
-    if isinstance(counters, dict):
-        for name in REQUIRED_COUNTERS:
-            if name not in counters:
-                problems.append(f"missing counter {name!r}")
-    else:
-        problems.append("'counters' is not an object")
-    histograms = doc.get("histograms", {})
-    if isinstance(histograms, dict):
-        for name in REQUIRED_HISTOGRAMS:
-            if name not in histograms:
-                problems.append(f"missing histogram {name!r}")
-    else:
-        problems.append("'histograms' is not an object")
-    attribution = doc.get("attribution")
-    if isinstance(attribution, dict):
-        for field in REQUIRED_ATTRIBUTION_FIELDS:
-            if field not in attribution:
-                problems.append(f"attribution missing field {field!r}")
-        for op_class, entry in (attribution.get("ops") or {}).items():
-            if not isinstance(entry, dict):
-                problems.append(f"attribution.ops[{op_class!r}] is not"
-                                " an object")
-                continue
-            for field in ("count", "mean_latency", "buckets", "residual"):
-                if field not in entry:
-                    problems.append(f"attribution.ops[{op_class!r}]"
-                                    f" missing {field!r}")
-    elif "attribution" in doc:
-        problems.append("'attribution' is not an object")
-    resources = doc.get("resources")
-    if resources is not None and not isinstance(resources, dict):
-        problems.append("'resources' is not an object")
-    regions = doc.get("regions", {})
-    if isinstance(regions, dict):
-        if not regions:
-            problems.append("no regions in export (hub never attached?)")
-        for rname, snapshot in regions.items():
-            commit = snapshot.get("commit") if isinstance(snapshot, dict) \
-                else None
-            if not isinstance(commit, dict):
-                problems.append(f"region {rname!r} has no commit snapshot")
-                continue
-            for field in REQUIRED_REGION_COMMIT_FIELDS:
-                if field not in commit:
-                    problems.append(
-                        f"region {rname!r} commit snapshot missing"
-                        f" {field!r}")
-    else:
-        problems.append("'regions' is not an object")
-    return problems
-
-
-def _validate_v3_sections(doc: Dict[str, Any]) -> List[str]:
-    """Structural checks of the v3-only ``consistency``/``slo`` sections."""
-    problems: List[str] = []
-    consistency = doc.get("consistency")
-    if isinstance(consistency, dict):
-        for field in REQUIRED_CONSISTENCY_FIELDS:
-            if field not in consistency:
-                problems.append(f"consistency missing field {field!r}")
-        staleness = consistency.get("staleness")
-        if isinstance(staleness, dict):
-            for dist in ("age", "lag"):
-                if dist not in staleness:
-                    problems.append(f"consistency.staleness missing"
-                                    f" {dist!r}")
-        elif staleness is not None:
-            problems.append("'consistency.staleness' is not an object")
-        for name, sketch in (consistency.get("sketches") or {}).items():
-            if not isinstance(sketch, dict) or "buckets" not in sketch:
-                problems.append(f"consistency.sketches[{name!r}] has no"
-                                " bucket export")
-    elif "consistency" in doc:
-        problems.append("'consistency' is not an object")
-    slo = doc.get("slo")
-    if isinstance(slo, dict):
-        for field in REQUIRED_SLO_FIELDS:
-            if field not in slo:
-                problems.append(f"slo missing field {field!r}")
-        if slo.get("verdict") not in ("pass", "fail", None):
-            problems.append(f"slo verdict is {slo.get('verdict')!r},"
-                            " expected 'pass' or 'fail'")
-        objectives = slo.get("objectives")
-        if isinstance(objectives, list):
-            for entry in objectives:
-                if not isinstance(entry, dict):
-                    problems.append("slo objective entry is not an object")
-                    continue
-                for field in ("name", "kind", "metric", "measured",
-                              "target", "ok"):
-                    if field not in entry:
-                        problems.append(
-                            f"slo objective {entry.get('name')!r}"
-                            f" missing {field!r}")
-        elif objectives is not None:
-            problems.append("'slo.objectives' is not a list")
-    elif "slo" in doc:
-        problems.append("'slo' is not an object")
-    return problems
-
-
-def _validate_v4_sections(doc: Dict[str, Any]) -> List[str]:
-    """Structural checks of the v4-only ``timeline``/``incidents``
-    sections (the incident flight recorder)."""
-    problems: List[str] = []
-    timeline = doc.get("timeline")
-    if isinstance(timeline, dict):
-        for field in REQUIRED_TIMELINE_FIELDS:
-            if field not in timeline:
-                problems.append(f"timeline missing field {field!r}")
-        events = timeline.get("events")
-        if isinstance(events, list):
-            for ev in events:
-                if not isinstance(ev, dict):
-                    problems.append("timeline event is not an object")
-                    continue
-                for field in REQUIRED_TIMELINE_EVENT_FIELDS:
-                    if field not in ev:
-                        problems.append(
-                            f"timeline event seq={ev.get('seq')!r}"
-                            f" missing {field!r}")
-        elif events is not None:
-            problems.append("'timeline.events' is not a list")
-    elif "timeline" in doc:
-        problems.append("'timeline' is not an object")
-    incidents = doc.get("incidents")
-    if isinstance(incidents, dict):
-        for field in REQUIRED_INCIDENTS_FIELDS:
-            if field not in incidents:
-                problems.append(f"incidents missing field {field!r}")
-        entries = incidents.get("incidents")
-        if isinstance(entries, list):
-            for inc in entries:
-                if not isinstance(inc, dict):
-                    problems.append("incident entry is not an object")
-                    continue
-                for field in REQUIRED_INCIDENT_FIELDS:
-                    if field not in inc:
-                        problems.append(
-                            f"incident {inc.get('id')!r} missing"
-                            f" {field!r}")
-                for suspect in (inc.get("suspects") or []):
-                    if not isinstance(suspect, dict):
-                        problems.append(
-                            f"incident {inc.get('id')!r} suspect is"
-                            " not an object")
-                        continue
-                    for field in REQUIRED_SUSPECT_FIELDS:
-                        if field not in suspect:
-                            problems.append(
-                                f"incident {inc.get('id')!r} suspect"
-                                f" missing {field!r}")
-        elif entries is not None:
-            problems.append("'incidents.incidents' is not a list")
-    elif "incidents" in doc:
-        problems.append("'incidents' is not an object")
-    return problems
+    return _check(doc, METRICS_CONTRACT, METRICS_VALUES)
 
 
 def validate_chaos(doc: Dict[str, Any]) -> List[str]:
     """Extended contract for fault-injection runs (``pacon-bench chaos``).
 
-    Everything :func:`validate` requires, plus the ``chaos.*`` fault
-    lifecycle metrics: each injected fault must have recovered (the
-    engine drove the matching heal/restart), and every recovery recorded
-    a downtime observation.
+    Everything :func:`validate` requires, plus :data:`CHAOS_CONTRACT`
+    and the fault lifecycle: at least one fault fired, and each injected
+    fault recovered (the engine drove the matching heal/restart).
     """
     problems = validate(doc)
+    if not isinstance(doc, dict):
+        return problems
+    problems += _check(doc, CHAOS_CONTRACT)
     counters = doc.get("counters", {})
     if isinstance(counters, dict):
-        for name in REQUIRED_CHAOS_COUNTERS:
-            if name not in counters:
-                problems.append(f"missing chaos counter {name!r}")
         injected = counters.get("chaos.injected")
         recovered = counters.get("chaos.recovered")
         if _is_number(injected) and not injected > 0:
@@ -334,88 +216,30 @@ def validate_chaos(doc: Dict[str, Any]) -> List[str]:
             problems.append(f"chaos.injected ({injected}) !="
                             f" chaos.recovered ({recovered}):"
                             " some fault never recovered")
-    histograms = doc.get("histograms", {})
-    if isinstance(histograms, dict):
-        for name in REQUIRED_CHAOS_HISTOGRAMS:
-            if name not in histograms:
-                problems.append(f"missing chaos histogram {name!r}")
     return problems
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def validate_bench(doc: Dict[str, Any]) -> List[str]:
     """Return schema problems of a ``pacon.bench/v1`` snapshot document."""
-    problems: List[str] = []
     if not isinstance(doc, dict):
         return [f"document is {type(doc).__name__}, expected object"]
-    schema = doc.get("schema")
-    if schema != BENCH_SCHEMA:
-        problems.append(f"schema is {schema!r}, expected {BENCH_SCHEMA!r}")
-    for key in REQUIRED_BENCH_TOP_LEVEL:
-        if key not in doc:
-            problems.append(f"missing top-level field {key!r}")
-    if "seed" in doc and not isinstance(doc.get("seed"), int):
-        problems.append("'seed' is not an integer")
-    host = doc.get("host")
-    if host is not None and not isinstance(host, dict):
-        problems.append("'host' is not an object")
-    experiments = doc.get("experiments")
-    if not isinstance(experiments, dict):
-        if "experiments" in doc:
-            problems.append("'experiments' is not an object")
-        return problems
-    if not experiments:
-        problems.append("no experiments in snapshot (runner never ran?)")
-    for name, record in experiments.items():
-        if not isinstance(record, dict):
-            problems.append(f"experiment {name!r} is not an object")
-            continue
-        for field in REQUIRED_BENCH_EXPERIMENT_FIELDS:
-            if field not in record:
-                problems.append(f"experiment {name!r} missing {field!r}")
-        rows = record.get("rows")
-        if rows is not None:
-            if not isinstance(rows, list) or any(
-                    not isinstance(row, dict) for row in rows):
-                problems.append(f"experiment {name!r} rows are not a list"
-                                " of objects")
-            elif not rows:
-                problems.append(f"experiment {name!r} has no rows")
-        derived = record.get("derived")
-        if derived is not None:
-            if not isinstance(derived, dict):
-                problems.append(f"experiment {name!r} 'derived' is not"
-                                " an object")
-            else:
-                for key, value in derived.items():
-                    if not _is_number(value):
-                        problems.append(
-                            f"experiment {name!r} derived metric {key!r}"
-                            f" is not numeric ({value!r})")
-        exp_host = record.get("host")
-        if exp_host is not None and not isinstance(exp_host, dict):
-            problems.append(f"experiment {name!r} 'host' is not an object")
-        if "seed" in record and record.get("seed") is not None \
-                and not isinstance(record.get("seed"), int):
-            problems.append(f"experiment {name!r} 'seed' is not an integer")
-    return problems
+    return _check(doc, BENCH_CONTRACT, BENCH_VALUES)
+
+
+def _is_bench(doc: Any) -> bool:
+    return isinstance(doc, dict) and \
+        str(doc.get("schema", "")).startswith("pacon.bench/")
 
 
 def validate_any(doc: Any) -> List[str]:
     """Dispatch on the document's schema family (metrics vs bench)."""
-    if isinstance(doc, dict) and \
-            str(doc.get("schema", "")).startswith("pacon.bench/"):
-        return validate_bench(doc)
-    return validate(doc)
+    return validate_bench(doc) if _is_bench(doc) else validate(doc)
 
 
 def main(argv: List[str] = None) -> int:
     """``python -m repro.obs.schema [--chaos] FILE [...]`` — exit 1 on drift.
 
-    Accepts both ``pacon.metrics/v2`` exports and ``pacon.bench/v1``
+    Accepts ``pacon.metrics/v4`` exports and ``pacon.bench/v1``
     snapshots, picking the contract from each file's ``schema`` field.
     ``--chaos`` additionally holds metrics exports to the fault-injection
     contract (:func:`validate_chaos`).
@@ -431,8 +255,7 @@ def main(argv: List[str] = None) -> int:
     for path in argv:
         with open(path) as fh:
             doc = json.load(fh)
-        if chaos and not (isinstance(doc, dict) and str(
-                doc.get("schema", "")).startswith("pacon.bench/")):
+        if chaos and not _is_bench(doc):
             problems = validate_chaos(doc)
         else:
             problems = validate_any(doc)

@@ -1,7 +1,7 @@
 """Constant-memory streaming quantile sketch (HDR-style log buckets).
 
-:class:`~repro.sim.stats.Histogram` keeps every raw sample, which is fine
-for the paper-scale experiments but grows without bound once
+A raw-sample histogram keeps every sample, which is fine for the
+paper's experiment sizes but grows without bound once
 ``AggregateClient`` sweeps push 20-100x the faithful client count through
 one hub.  The sketch replaces the sample list with log-spaced buckets:
 
@@ -128,7 +128,7 @@ class QuantileSketch:
         return self.max
 
     def summary(self) -> Dict[str, float]:
-        """Same keys as :meth:`repro.sim.stats.Histogram.summary`."""
+        """count/mean/p50/p95/p99/max: one ``histograms`` export entry."""
         if self.count == 0:
             return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0,
                     "p99": 0.0, "max": 0.0}

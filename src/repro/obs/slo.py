@@ -308,7 +308,7 @@ class Policy:
 
 
 def default_policy() -> Policy:
-    """The policy the hub stamps into every v3 export.
+    """The policy the hub stamps into every export.
 
     Bounds are deliberately loose — they assert the *machinery* (commit
     pipeline drains, staleness bounded, errors rare), not a particular

@@ -10,11 +10,10 @@ backpressure stall.  Those layers each kept private records
 axis.
 
 A :class:`Timeline` is that axis: an append-only, capacity-bounded log
-of :class:`ControlEvent` records fed by instrumentation hooks in the
-chaos engine, the autoscaler, region membership, and the client publish
-path.  Every hook is guarded by ``hub.enabled``, and the hub only
-allocates a Timeline when it is enabled — the shared
-:data:`NULL_TIMELINE` discards everything — so the zero-cost-when-off
+of :class:`ControlEvent` records fed by the chaos engine, the
+autoscaler, region membership, and the client publish path.  The
+disabled hub discards every event and never allocates a Timeline (it
+holds the shared :data:`NULL_TIMELINE`), so the zero-cost-when-off
 guarantee of the rest of ``repro.obs`` holds here too (the tests prove
 it by monkeypatching allocation to raise).
 
@@ -43,14 +42,59 @@ membership node.joined          region membership grew (any path)
 membership node.departed        region membership shrank (any path)
 commit     backpressure.stall   a bounded commit queue stalled a client
 ========== ==================== =========================================
+
+Every event is recorded through one call,
+:meth:`repro.obs.hub.MetricsHub.control`, which appends it here and
+applies :data:`CONTROL_METRICS`: the counters and the sketch each kind
+feeds.  That table is the only place a control-plane metric is named.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["ControlEvent", "Timeline", "NULL_TIMELINE"]
+__all__ = ["ControlEvent", "Timeline", "NULL_TIMELINE", "CONTROL_METRICS",
+           "control_metrics"]
+
+#: kind -> (counter name templates, sketch name or "").  Templates take
+#: ``{fault}``, the fault kind (the label before ``[``), and ``{cause}``,
+#: the first word of the detail (``<grow|retire>:<ExcType>`` for a
+#: failed scaling action).  Each counter counts one per event; the
+#: sketch observes the event's ``duration``, or, for an event that
+#: closes an earlier one (``ref``), the time since that event.
+CONTROL_METRICS: Dict[str, Tuple[Tuple[str, ...], str]] = {
+    "fault.injected": (("chaos.injected", "chaos.fault.{fault}"), ""),
+    "fault.recovered": (("chaos.recovered",), "chaos.downtime"),
+    "scale.grow": (("autoscale.scale_up",), "autoscale.action_latency"),
+    "scale.retire": (("autoscale.scale_down",),
+                     "autoscale.action_latency"),
+    "scale.failed": (("autoscale.action_failed",
+                      "autoscale.action_failed[{cause}]"),
+                     "autoscale.action_latency"),
+    "scale.rejected": (("autoscale.rejected",), ""),
+    "backpressure.stall": (("commit.publish_stalls",),
+                           "commit.publish_stall"),
+    "node.joined": ((), ""),
+    "node.departed": ((), ""),
+}
+
+#: Detail word of a failed grow whose node joined before the error: the
+#: node is kept, so the event also counts as a scale-up.
+JOINED = "joined"
+
+
+def control_metrics(kind: str, label: str,
+                    detail: str = "") -> Tuple[List[str], str]:
+    """Counter names and sketch name one event of ``kind`` feeds."""
+    counters, sketch = CONTROL_METRICS[kind]
+    words = detail.split(" error=", 1)[0].split()
+    fields = {"fault": label.split("[", 1)[0],
+              "cause": words[0] if words else ""}
+    names = [template.format(**fields) for template in counters]
+    if kind == "scale.failed" and JOINED in words:
+        names.append("autoscale.scale_up")
+    return names, sketch
 
 
 @dataclass(frozen=True)
@@ -94,7 +138,7 @@ class Timeline:
         self.dropped = 0
         self._next_seq = 0
 
-    # -- recording (call sites guard on hub.enabled) -----------------------
+    # -- recording (through MetricsHub.control) ----------------------------
     def record(self, time: float, source: str, kind: str, label: str,
                detail: str = "", duration: float = 0.0,
                ref: int = -1) -> int:
@@ -110,6 +154,17 @@ class Timeline:
         return self._next_seq
 
     # -- queries -----------------------------------------------------------
+    def time_of(self, seq: int) -> Optional[float]:
+        """Time of held event ``seq``; None once dropped or cleared.
+
+        Held events carry consecutive seqs, so this is an index lookup.
+        """
+        if self._events:
+            idx = seq - self._events[0].seq
+            if 0 <= idx < len(self._events):
+                return self._events[idx].time
+        return None
+
     def __len__(self) -> int:
         return len(self._events)
 

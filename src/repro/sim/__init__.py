@@ -35,7 +35,7 @@ from repro.sim.network import (
 )
 from repro.sim.costs import CostModel
 from repro.sim.rng import RngStreams
-from repro.sim.stats import Counter, Histogram, StatsRegistry, ThroughputMeter
+from repro.sim.stats import Counter, StatsRegistry
 
 __all__ = [
     "AllOf",
@@ -47,7 +47,6 @@ __all__ = [
     "Environment",
     "Event",
     "Gate",
-    "Histogram",
     "Interrupt",
     "Network",
     "NetworkParams",
@@ -60,7 +59,6 @@ __all__ = [
     "SimulationError",
     "StatsRegistry",
     "Store",
-    "ThroughputMeter",
     "Timeout",
     "run_sync",
 ]

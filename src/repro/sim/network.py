@@ -18,7 +18,6 @@ from repro.sim.core import Environment, Event, Interrupt
 from repro.sim.costs import CostModel
 from repro.sim.resources import Resource
 from repro.sim.rng import RngStreams
-from repro.sim.stats import StatsRegistry
 from repro.sim.trace import NULL_TRACER
 
 __all__ = ["Node", "NetworkParams", "Network", "Service", "Cluster",
@@ -359,7 +358,6 @@ class Cluster:
         self.network = Network(self.env,
                                NetworkParams.from_costs(self.costs))
         self.rng = RngStreams(seed)
-        self.stats = StatsRegistry()
         self.nodes: list[Node] = []
         # Swapped in by MetricsHub.attach_region (shared with the network);
         # services consult it for span-context propagation.

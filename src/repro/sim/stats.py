@@ -1,20 +1,17 @@
-"""Measurement primitives: counters, histograms, throughput meters.
+"""Measurement primitives: counters, gauge series, quantile sketches.
 
 Experiments never read raw kernel state; they publish into a
-:class:`StatsRegistry` that the bench harness renders into the paper's
-rows/series.  Histograms keep raw samples (numpy-backed percentile
-queries) because the experiments are small enough that reservoirs are not
-needed; a cap guards pathological runs.
+:class:`StatsRegistry` that the metrics hub exports.  Latency
+distributions are constant-memory quantile sketches
+(:class:`repro.obs.sketch.QuantileSketch`); gauges are capped
+time series.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
-__all__ = ["Counter", "Histogram", "Series", "ThroughputMeter",
-           "StatsRegistry"]
+__all__ = ["Counter", "Series", "StatsRegistry"]
 
 if False:  # pragma: no cover - import cycle guard (typing only)
     from repro.obs.sketch import QuantileSketch
@@ -39,56 +36,12 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
-class Histogram:
-    """Raw-sample histogram with percentile queries."""
-
-    def __init__(self, name: str, max_samples: int = 2_000_000):
-        self.name = name
-        self.max_samples = max_samples
-        self._samples: List[float] = []
-        self._dropped = 0
-
-    def observe(self, value: float) -> None:
-        if len(self._samples) < self.max_samples:
-            self._samples.append(value)
-        else:
-            self._dropped += 1
-
-    @property
-    def count(self) -> int:
-        return len(self._samples) + self._dropped
-
-    def mean(self) -> float:
-        if not self._samples:
-            return 0.0
-        return float(np.mean(self._samples))
-
-    def percentile(self, q: float) -> float:
-        if not self._samples:
-            return 0.0
-        return float(np.percentile(self._samples, q))
-
-    def summary(self) -> Dict[str, float]:
-        if not self._samples:
-            return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0,
-                    "p99": 0.0, "max": 0.0}
-        arr = np.asarray(self._samples)
-        return {
-            "count": self.count,
-            "mean": float(arr.mean()),
-            "p50": float(np.percentile(arr, 50)),
-            "p95": float(np.percentile(arr, 95)),
-            "p99": float(np.percentile(arr, 99)),
-            "max": float(arr.max()),
-        }
-
-
 class Series:
     """An append-only time-indexed gauge (sampler output).
 
     Each point is ``(simulated_time, value)``; the observability sampler
     appends one point per gauge per tick.  A cap guards runaway runs, with
-    the overflow counted in ``dropped`` (mirroring :class:`Histogram`).
+    the overflow counted in ``dropped``.
     """
 
     def __init__(self, name: str, max_points: int = 1_000_000):
@@ -121,71 +74,11 @@ class Series:
                 "dropped": self.dropped}
 
 
-class ThroughputMeter:
-    """Counts completions between mark() calls; reports ops/second.
-
-    Used exactly like mdtest uses phase timers: ``start()`` at the phase
-    barrier, ``record()`` per completed op, ``stop()`` at the closing
-    barrier, then ``ops_per_second()``.
-    """
-
-    def __init__(self, name: str):
-        self.name = name
-        self.ops = 0
-        self._started_at: Optional[float] = None
-        self._stopped_at: Optional[float] = None
-
-    def start(self, now: float) -> None:
-        self._started_at = now
-        self._stopped_at = None
-        self.ops = 0
-
-    def record(self, n: int = 1) -> None:
-        self.ops += n
-
-    def stop(self, now: float) -> None:
-        self._stopped_at = now
-
-    @property
-    def elapsed(self) -> float:
-        if self._started_at is None:
-            return 0.0
-        end = self._stopped_at
-        if end is None:
-            raise RuntimeError(f"meter {self.name!r} not stopped")
-        return end - self._started_at
-
-    def elapsed_at(self, now: Optional[float] = None) -> float:
-        """Total, never-throwing elapsed time.
-
-        A running meter reports against ``now`` when given, else 0.0 — so
-        an export-time snapshot of a registry with one still-running meter
-        cannot poison the whole export (unlike :attr:`elapsed`, which is
-        strict and raises).
-        """
-        if self._started_at is None:
-            return 0.0
-        end = self._stopped_at
-        if end is None:
-            if now is None:
-                return 0.0
-            return max(0.0, now - self._started_at)
-        return end - self._started_at
-
-    def ops_per_second(self, now: Optional[float] = None) -> float:
-        elapsed = self.elapsed_at(now)
-        if elapsed <= 0:
-            return 0.0
-        return self.ops / elapsed
-
-
 class StatsRegistry:
-    """A flat namespace of counters/histograms/meters for one experiment."""
+    """A flat namespace of counters/series/sketches for one experiment."""
 
     def __init__(self):
         self._counters: Dict[str, Counter] = {}
-        self._histograms: Dict[str, Histogram] = {}
-        self._meters: Dict[str, ThroughputMeter] = {}
         self._series: Dict[str, Series] = {}
         self._sketches: Dict[str, "QuantileSketch"] = {}
 
@@ -194,25 +87,6 @@ class StatsRegistry:
         if c is None:
             c = self._counters[name] = Counter(name)
         return c
-
-    def histogram(self, name: str) -> Any:
-        # Metrics migrated to quantile sketches keep their old names;
-        # reading one through this legacy accessor returns the sketch
-        # (observe/mean/percentile/summary are API-compatible) instead
-        # of allocating an empty shadow histogram beside it.
-        s = self._sketches.get(name)
-        if s is not None:
-            return s
-        h = self._histograms.get(name)
-        if h is None:
-            h = self._histograms[name] = Histogram(name)
-        return h
-
-    def meter(self, name: str) -> ThroughputMeter:
-        m = self._meters.get(name)
-        if m is None:
-            m = self._meters[name] = ThroughputMeter(name)
-        return m
 
     def series(self, name: str) -> Series:
         s = self._series.get(name)
@@ -236,34 +110,11 @@ class StatsRegistry:
         return {k: v.value for k, v in sorted(self._counters.items())}
 
     def histograms(self) -> Dict[str, Dict[str, float]]:
-        """Summaries of raw-sample histograms *and* quantile sketches.
-
-        Both produce the same summary keys, so consumers of the exported
-        ``histograms`` section are agnostic to which backing store
-        recorded a metric.
-        """
-        out = {k: v.summary() for k, v in self._histograms.items()}
-        for k, v in self._sketches.items():
-            out[k] = v.summary()
-        return {k: out[k] for k in sorted(out)}
+        """Summary of every quantile sketch (the export's ``histograms``)."""
+        return {k: v.summary() for k, v in sorted(self._sketches.items())}
 
     def sketches(self) -> Dict[str, "QuantileSketch"]:
         return dict(self._sketches)
 
-    def sketch_exports(self) -> Dict[str, Dict[str, Any]]:
-        """Full bucket-level sketch state, stably ordered."""
-        return {k: v.export() for k, v in sorted(self._sketches.items())}
-
-    def meters(self, now: Optional[float] = None) -> Dict[str, float]:
-        """Snapshot every meter; running meters report 0.0 (or against
-        ``now``) instead of raising, so one unstopped meter cannot poison
-        the whole export."""
-        return {k: v.ops_per_second(now)
-                for k, v in sorted(self._meters.items())}
-
     def series_export(self) -> Dict[str, Dict[str, Any]]:
         return {k: v.export() for k, v in sorted(self._series.items())}
-
-    def merge_counters(self, names: Iterable[str]) -> int:
-        return sum(self._counters[n].value for n in names
-                   if n in self._counters)

@@ -39,7 +39,7 @@ from repro.obs.schema import validate_bench
 EXPECTED_EXPERIMENTS = {
     "fig01", "fig02", "table1", "fig07", "fig08", "fig09", "fig10",
     "fig11", "fig12", "latency", "sensitivity", "staleness",
-    "ablA", "ablB", "ablC", "ablD", "ablE",
+    "chaos", "elastic", "ablA", "ablB", "ablC", "ablD", "ablE",
 }
 
 

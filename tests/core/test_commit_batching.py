@@ -51,7 +51,7 @@ class TestBatchedDrain:
             run_sync(cluster.env, client.create(f"/app/f{i}"))
         deployment.start_commit_processes(region)
         deployment.quiesce_sync(region)
-        batches = hub.stats.histogram("commit.batch_size").summary()
+        batches = hub.stats.sketch("commit.batch_size").summary()
         assert batches["count"] >= 1
         assert batches["max"] > 1
         for i in range(10):
@@ -184,7 +184,7 @@ class TestBackpressure:
         world.quiesce()
         counters = hub.stats.counters()
         assert counters.get("commit.publish_stalls", 0) >= 1
-        stalls = hub.stats.histogram("commit.publish_stall").summary()
+        stalls = hub.stats.sketch("commit.publish_stall").summary()
         assert stalls["count"] >= 1 and stalls["max"] > 0
         for i in range(40):
             assert world.dfs.namespace.exists(f"/app/f{i}")

@@ -304,13 +304,16 @@ class TestSchemaV3:
     def test_v3_round_trips_through_json(self):
         assert schema.validate(json.loads(json.dumps(exported_doc()))) == []
 
-    def test_v2_document_still_validates(self):
-        # An archived v2 export = a v3 export minus the additive sections.
+    def test_v2_document_rejected(self):
+        # v4 is the only contract: an archived v2 export (no consistency
+        # or slo sections) no longer validates.
         doc = exported_doc()
-        doc["schema"] = schema.SCHEMA_V2
+        doc["schema"] = "pacon.metrics/v2"
         del doc["consistency"]
         del doc["slo"]
-        assert schema.validate(doc) == []
+        problems = schema.validate(doc)
+        assert any("pacon.metrics/v2" in p for p in problems)
+        assert any("consistency" in p for p in problems)
 
     def test_v3_requires_consistency_and_slo(self):
         doc = exported_doc()

@@ -28,7 +28,7 @@ class TestValidate:
         doc = exported_doc()
         doc["schema"] = "pacon.metrics/v1"
         problems = schema.validate(doc)
-        assert any("pacon.metrics/v2" in p for p in problems)
+        assert any(schema.SCHEMA in p for p in problems)
 
     def test_missing_counter_flagged(self):
         doc = exported_doc()
@@ -94,12 +94,16 @@ class TestValidateV4:
         problems = schema.validate(doc)
         assert any("INC-009" in p and "evidence" in p for p in problems)
 
-    def test_v3_shaped_doc_still_validates(self):
+    def test_v3_document_rejected(self):
+        # v4 is the only contract: an archived v3 export (no timeline or
+        # incidents sections) no longer validates.
         doc = exported_doc()
         del doc["timeline"]
         del doc["incidents"]
         doc["schema"] = "pacon.metrics/v3"
-        assert schema.validate(doc) == []
+        problems = schema.validate(doc)
+        assert any("pacon.metrics/v3" in p for p in problems)
+        assert any("timeline" in p for p in problems)
 
 
 def bench_doc():
