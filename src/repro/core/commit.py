@@ -141,21 +141,14 @@ class CommitProcess:
         self.replays = 0
         self.aborts = 0
         self._process = None
-        self._in_flight = 0
-        #: In-flight ops whose commit accounting already ran (they are in
-        #: post-commit bookkeeping, or awaiting their segment's bulk
-        #: resolution).  ``abort`` must not count these as lost — they are
-        #: on the DFS and in ``committed``.
-        self._in_flight_committed = 0
-        #: Oldest publish timestamp among ops drained but not yet resolved
-        #: (the removed-subtree pruner must see them as outstanding).
-        self._in_flight_oldest: Optional[float] = None
-        #: Ledger shadow of drained-but-unresolved ops, maintained only
-        #: while a hub is attached: on a crash, exactly these (plus
-        #: ``_pending``/``_future``) are the published mutations that will
-        #: never resolve, and the region's version-lag ledger must be
-        #: reconciled for them or post-fault staleness never drains.
-        self._in_flight_msgs: List[OpMessage] = []
+        #: The drain record: every op taken from the queue (or from
+        #: ``_pending``/``_future``) in the current wakeup, keyed by
+        #: ``id(op)`` and marked open (True) until it is committed,
+        #: discarded or coalesced.  Ops handed on to ``_pending`` or
+        #: ``_future`` leave it early — those are scanned anyway.  The
+        #: record is cleared when the drain ends; ``idle``, the prune
+        #: cutoff and the crash-time loss count all read it.
+        self._drained: Dict[int, Tuple[OpMessage, bool]] = {}
         #: Set by failure injection; the interrupt that actually stops the
         #: loop is delivered on the next simulation step, so recovery code
         #: keys off this flag rather than the process's alive state.
@@ -174,7 +167,7 @@ class CommitProcess:
         """No queued, held, retrying, or in-flight work."""
         return (len(self.queue) == 0 and not self._pending
                 and not any(self._future.values())
-                and self._in_flight == 0)
+                and not self._drained)
 
     @property
     def alive(self) -> bool:
@@ -209,22 +202,7 @@ class CommitProcess:
         first so no waiter registration or granted-but-unconsumed
         resource slot leaks past the crash.
         """
-        counts = {
-            # An op interrupted *after* its commit accounting ran (mid
-            # post-commit bookkeeping, or awaiting its segment's bulk
-            # decrement) is on the DFS, not lost.
-            "in_flight": max(0, self._in_flight - self._in_flight_committed),
-            "pending": len(self._pending),
-            "future": sum(len(v) for v in self._future.values()),
-        }
-        counts["total"] = sum(counts.values())
-        self._resolve_lost_ledger()
-        self._pending.clear()
-        self._future.clear()
-        self._barrier_counts.clear()
-        self._in_flight = 0
-        self._in_flight_committed = 0
-        self._in_flight_oldest = None
+        counts = self._drop_unresolved()
         self.aborts += 1
         if self.region.hub.enabled:
             self.region.hub.count("commit.aborts")
@@ -235,52 +213,45 @@ class CommitProcess:
             proc.interrupt(reason)
         return counts
 
+    def _drop_unresolved(self) -> Dict[str, int]:
+        """Forget every unresolved op and return the loss counts.
+
+        Only *open* ops of the current drain are lost in flight: one that
+        was already committed, discarded or coalesced is accounted for,
+        and one handed on to ``_pending``/``_future`` is counted there.
+        With a hub attached the version-lag ledger is reconciled exactly
+        once per lost op, or post-fault staleness never drains.
+        """
+        in_flight = [op for op, open_ in self._drained.values() if open_]
+        future = [op for held in self._future.values() for op in held]
+        if self.region.hub.enabled:
+            for op in in_flight + list(self._pending) + future:
+                self.region.note_op_resolved(op.path)
+        counts = {"in_flight": len(in_flight),
+                  "pending": len(self._pending),
+                  "future": len(future)}
+        counts["total"] = sum(counts.values())
+        self._drained.clear()
+        self._pending.clear()
+        self._future.clear()
+        self._barrier_counts.clear()
+        return counts
+
     def oldest_outstanding_timestamp(self) -> Optional[float]:
         """Oldest publish timestamp among this process's unresolved ops
-        (retrying, held for a future epoch, or mid-commit); None if none."""
-        oldest = self._in_flight_oldest
-        for op in self._pending:
-            if oldest is None or op.timestamp < oldest:
-                oldest = op.timestamp
-        for msgs in self._future.values():
-            for msg in msgs:
-                ts = getattr(msg, "timestamp", None)
-                if ts is not None and (oldest is None or ts < oldest):
-                    oldest = ts
-        return oldest
+        (retrying, held for a future epoch, or in the current drain —
+        resolved ones included until the drain ends); None if none."""
+        stamps = [op.timestamp for op, _ in self._drained.values()]
+        stamps.extend(op.timestamp for op in self._pending)
+        for held in self._future.values():
+            stamps.extend(op.timestamp for op in held)
+        return min(stamps) if stamps else None
 
-    # -- version-lag ledger shadow (hub-gated) --------------------------------
-    def _ledger_track(self, ops: List[OpMessage]) -> None:
-        """Note drained ops as unresolved (only while a hub is attached)."""
-        if self.region.hub.enabled:
-            self._in_flight_msgs.extend(ops)
-
-    def _ledger_untrack(self, op: OpMessage) -> None:
-        if self._in_flight_msgs:
-            try:
-                self._in_flight_msgs.remove(op)
-            except ValueError:
-                pass
-
-    def _resolve_ledger(self, op: OpMessage) -> None:
-        """The op left the pipeline (committed/discarded/coalesced)."""
-        self._ledger_untrack(op)
+    def _resolve(self, op: OpMessage) -> None:
+        """The op left the pipeline (committed, discarded or coalesced)."""
+        self._drained[id(op)] = (op, False)
         if self.region.hub.enabled:
             self.region.note_op_resolved(op.path)
-
-    def _resolve_lost_ledger(self) -> None:
-        """Crash path: every unresolved op is lost — reconcile the ledger
-        exactly once per op or post-fault version lag never drains."""
-        if self.region.hub.enabled:
-            for op in self._in_flight_msgs:
-                self.region.note_op_resolved(op.path)
-            for op in self._pending:
-                self.region.note_op_resolved(op.path)
-            for msgs in self._future.values():
-                for msg in msgs:
-                    if isinstance(msg, OpMessage):
-                        self.region.note_op_resolved(msg.path)
-        self._in_flight_msgs.clear()
 
     # -- main loop -----------------------------------------------------------
     def run(self) -> Generator[Event, Any, None]:
@@ -292,15 +263,9 @@ class CommitProcess:
         except Interrupt:
             # Node crash (§III.G): whatever was queued or in flight here is
             # lost; isolation means only this region is affected.  After an
-            # abort() the lists below are already empty, so the ledger
+            # abort() there is nothing left to drop, so the ledger
             # reconciliation cannot double-resolve.
-            self._resolve_lost_ledger()
-            self._pending.clear()
-            self._future.clear()
-            self._barrier_counts.clear()
-            self._in_flight = 0
-            self._in_flight_committed = 0
-            self._in_flight_oldest = None
+            self._drop_unresolved()
 
     def _loop(self) -> Generator[Event, Any, None]:
         from repro.sim.core import Interrupt
@@ -339,9 +304,13 @@ class CommitProcess:
                 # older than the epoch has committed region-wide, so stale
                 # removed-subtree entries can go.
                 self.region.prune_removed_subtrees()
-                # Release operations held for the new epoch.
-                for msg in self._future.pop(self.current_epoch, []):
-                    yield from self._dispatch(msg)
+                # Release operations held for the new epoch, one drain
+                # each.  They stay in ``_future`` until drained, so a
+                # crash mid-release still counts the rest as lost.
+                released = self.current_epoch
+                while self._future.get(released):
+                    yield from self._drain([self._future[released].pop(0)])
+                self._future.pop(released, None)
                 continue
 
             if len(self.queue) > 0 or (not self._pending and not closing):
@@ -350,105 +319,69 @@ class CommitProcess:
                 except QueueClosed:
                     closing = True
                     continue
-                if self.batch_size > 1:
-                    batch = [msg]
-                    batch.extend(self.queue.get_batch(self.batch_size - 1))
-                    yield from self._dispatch_batch(batch)
-                else:
-                    yield from self._dispatch(msg)
+                msgs = [msg]
+                msgs.extend(self.queue.get_batch(self.batch_size - 1))
+                yield from self._drain(msgs, batched=self.batch_size > 1)
             elif self._pending:
                 # Nothing new; give blocked dependencies a beat, then retry.
                 yield self.env.timeout(
                     self.region.config.commit_retry_delay)
-                op = self._pending.popleft()
-                yield from self._commit_one(op)
+                yield from self._drain([self._pending.popleft()])
             else:
                 # closing and fully drained
                 return
 
-    def _dispatch(self, msg: Any) -> Generator[Event, Any, None]:
-        if isinstance(msg, BarrierMessage):
-            self._barrier_counts[msg.epoch] = \
-                self._barrier_counts.get(msg.epoch, 0) + 1
-            return
-        if msg.epoch > self.current_epoch:
-            self._future.setdefault(msg.epoch, []).append(msg)
-            return
-        yield from self._commit_one(msg)
-
-    def _commit_one(self, op: OpMessage) -> Generator[Event, Any, None]:
-        """Commit a single op with in-flight accounting around the attempt."""
-        self._in_flight += 1
-        self._ledger_track([op])
-        previous_oldest = self._in_flight_oldest
-        if previous_oldest is None or op.timestamp < previous_oldest:
-            self._in_flight_oldest = op.timestamp
-        try:
-            yield from self._try_commit(op)
-        finally:
-            self._in_flight -= 1
-            self._in_flight_committed = 0
-            self._in_flight_oldest = previous_oldest
-
-    def _dispatch_batch(self, msgs: List[Any]) -> Generator[Event, Any,
-                                                            None]:
+    def _drain(self, msgs: List[Any],
+               batched: bool = False) -> Generator[Event, Any, None]:
         """Resolve one wakeup's worth of drained messages.
 
-        The queue-pop overhead is paid once for the whole drain — that is
-        the amortization batching buys on the queue side.  Barrier
-        messages cut the drain into segments: operations on either side of
-        a barrier marker never share a coalescing window or an MDS batch,
-        preserving the §III.E epoch discipline.
+        A batched drain (the main loop at ``commit_batch_size > 1``) pays
+        the queue-pop overhead once for the whole drain — that is the
+        amortization batching buys on the queue side.  Any other drain
+        holds one message (batch size 1, a retry, or an op released at an
+        epoch boundary) and pays the pop only if that message is an op
+        committed now: a barrier marker or a future-epoch op is free.
+        Barrier messages cut the drain into segments: operations on
+        either side of a barrier marker never share a coalescing window
+        or an MDS batch, preserving the §III.E epoch discipline.
 
-        Every drained op message counts as in-flight (and holds down the
-        removed-subtree prune cutoff) from the moment it leaves the queue
-        until its segment resolves — ``Region.quiesce`` must never observe
-        a lull while drained work sits in a local variable here.
+        Every drained op sits in the drain record from the moment it
+        leaves the queue until the drain ends — ``Region.quiesce`` must
+        never observe a lull while drained work sits in a local variable
+        here.
         """
-        held = [m for m in msgs if not isinstance(m, BarrierMessage)]
-        self._in_flight += len(held)
-        self._ledger_track(held)
-        previous_oldest = self._in_flight_oldest
-        if held:
-            oldest = min(m.timestamp for m in held)
-            if previous_oldest is None or oldest < previous_oldest:
-                self._in_flight_oldest = oldest
-        outstanding = len(held)
+        drained = self._drained
+        for msg in msgs:
+            if isinstance(msg, OpMessage):
+                drained[id(msg)] = (msg, True)
+        pop = self.costs.commit_queue_pop
         try:
-            if self.costs.commit_queue_pop > 0:
-                yield self.env.timeout(self.costs.commit_queue_pop)
-            if self.region.hub.enabled:
-                self.region.hub.observe("commit.batch_size", len(msgs))
+            if batched:
+                if pop > 0:
+                    yield self.env.timeout(pop)
+                if self.region.hub.enabled:
+                    self.region.hub.observe("commit.batch_size", len(msgs))
             segment: List[OpMessage] = []
             for msg in msgs:
                 if isinstance(msg, BarrierMessage):
                     yield from self._commit_segment(segment)
-                    self._in_flight -= len(segment)
-                    self._in_flight_committed = 0
-                    outstanding -= len(segment)
                     segment = []
                     self._barrier_counts[msg.epoch] = \
                         self._barrier_counts.get(msg.epoch, 0) + 1
                 elif msg.epoch > self.current_epoch:
                     self._future.setdefault(msg.epoch, []).append(msg)
-                    self._ledger_untrack(msg)  # _future is scanned on crash
-                    self._in_flight -= 1
-                    outstanding -= 1
+                    drained.pop(id(msg), None)
                 else:
                     segment.append(msg)
+            if segment and not batched and pop > 0:
+                yield self.env.timeout(pop)
             yield from self._commit_segment(segment)
-            self._in_flight -= len(segment)
-            self._in_flight_committed = 0
-            outstanding -= len(segment)
         finally:
-            # Only nonzero when an exception cut the drain short.
-            self._in_flight -= outstanding
-            self._in_flight_committed = 0
-            self._in_flight_oldest = previous_oldest
+            drained.clear()
 
     def _commit_segment(self, ops: List[OpMessage]) -> Generator[Event, Any,
                                                                  None]:
-        """Commit one barrier-free run of ops (already counted in-flight)."""
+        """Commit one barrier-free run of ops (already in the drain record)."""
         if not ops:
             return
         if self.coalesce_enabled and len(ops) > 1:
@@ -457,6 +390,9 @@ class CommitProcess:
                 return
         if len(ops) == 1:
             op = ops[0]
+            # Paper §III.D.1: discard creations inside removed directories.
+            # Only ops older than the removal are discarded; later
+            # re-creations of the same names are legitimate work.
             if self.region.inside_removed_subtree(op.path, op.timestamp):
                 self._discard(op)
                 return
@@ -495,8 +431,8 @@ class CommitProcess:
                 alive[j] = None
                 del creations[(op.path, op.gen_ino)]
                 self.coalesced += 2
-                self._resolve_ledger(ops[j])
-                self._resolve_ledger(op)
+                self._resolve(ops[j])
+                self._resolve(op)
                 self.region.tracer.emit(
                     self.env.now, f"commit:{self.node.name}", "coalesce",
                     f"create+rm {op.path}")
@@ -561,17 +497,6 @@ class CommitProcess:
                     yield from self._handle_commit_failure(op, mode, detail)
 
     # -- committing one operation ------------------------------------------------
-    def _try_commit(self, op: OpMessage) -> Generator[Event, Any, None]:
-        if self.costs.commit_queue_pop > 0:
-            yield self.env.timeout(self.costs.commit_queue_pop)
-        # Paper §III.D.1: discard creations inside removed directories.
-        # Only ops older than the removal are discarded; later re-creations
-        # of the same names are legitimate work.
-        if self.region.inside_removed_subtree(op.path, op.timestamp):
-            self._discard(op)
-            return
-        yield from self._attempt_single(op, self._committed_mode(op))
-
     def _commit_token(self, op: OpMessage) -> Optional[Tuple]:
         """Idempotency key for this op's MDS mutation (None when untagged).
 
@@ -594,7 +519,7 @@ class CommitProcess:
         """
         op.replays += 1
         self.replays += 1
-        self._ledger_untrack(op)  # still pending; _pending is crash-scanned
+        self._drained.pop(id(op), None)  # handed on to _pending
         if self.region.hub.enabled:
             self.region.hub.count("commit.replays")
         self._pending.append(op)
@@ -696,16 +621,14 @@ class CommitProcess:
     def _commit_success(self, op: OpMessage,
                         mode: int) -> Generator[Event, Any, None]:
         self.committed += 1
-        # From here until the op leaves the in-flight window (its segment
-        # resolves) a crash must not count it as lost: it is on the DFS.
-        self._in_flight_committed += 1
         self.region.ops_committed += 1
         self._close_queue_span(op)
         self.region.tracer.emit(self.env.now, f"commit:{self.node.name}",
                                 "commit", f"{op.op} {op.path}",
                                 op_id=op.op_id if op.op_id >= 0 else None)
         hub = self.region.hub
-        self._resolve_ledger(op)
+        # From here a crash must not count the op as lost: it is on the DFS.
+        self._resolve(op)
         if hub.enabled:
             # Publish→commit latency: OpMessage.timestamp is stamped when
             # the client pushes the message into its commit queue.
@@ -735,7 +658,7 @@ class CommitProcess:
 
     def _discard(self, op: OpMessage, orphan: bool = False) -> None:
         self.discarded += 1
-        self._resolve_ledger(op)
+        self._resolve(op)
         self._close_queue_span(op)
         label = f"{op.op} {op.path}"
         self.region.tracer.emit(self.env.now, f"commit:{self.node.name}",
@@ -748,7 +671,7 @@ class CommitProcess:
     def _resubmit(self, op: OpMessage) -> Generator[Event, Any, None]:
         op.retries += 1
         self.resubmissions += 1
-        self._ledger_untrack(op)  # still pending; _pending is crash-scanned
+        self._drained.pop(id(op), None)  # handed on to _pending
         if self.region.hub.enabled:
             self.region.hub.count("commit.resubmissions")
         if op.retries > self.MAX_RETRIES:

@@ -23,15 +23,18 @@ class QueueClosed(Exception):
     """Raised from a pending or subsequent ``get`` once the queue closes."""
 
 
-class MessageQueue:
-    """A single-subscriber FIFO message channel."""
+class MessageQueue(Store):
+    """A single-subscriber FIFO message channel.
+
+    A :class:`~repro.sim.resources.Store` with close semantics and
+    delivery accounting.  A message counts as delivered when it is handed
+    to a subscriber: at ``get``/``get_batch`` time when buffered, or at
+    publish time when a subscriber is already blocked waiting for it.
+    """
 
     def __init__(self, env: Environment, name: str = ""):
-        self.env = env
-        self.name = name
-        self._store = Store(env, name=name)
+        super().__init__(env, name=name)
         self._closed = False
-        self._pending_gets: List[Event] = []
         self.published = 0
         self.delivered = 0
         #: High-water mark of the backlog; updated on publish so the
@@ -40,12 +43,9 @@ class MessageQueue:
         self.peak_depth = 0
         #: Aggregate publish→delivery residency (simulated seconds) over
         #: all delivered messages; FIFO order lets one stamp deque pair
-        #: deliveries with their publish instants.
+        #: deliveries with the publish instants of buffered messages.
         self.total_wait_time = 0.0
         self._publish_times: Deque[float] = deque()
-
-    def __len__(self) -> int:
-        return len(self._store)
 
     @property
     def closed(self) -> bool:
@@ -55,38 +55,37 @@ class MessageQueue:
         if self._closed:
             raise QueueClosed(f"publish on closed queue {self.name!r}")
         self.published += 1
-        self._publish_times.append(self.env.now)
-        self._store.put(message)
-        depth = len(self._store)
+        if self._getters:
+            # Handed straight to the blocked subscriber: zero residency.
+            self.delivered += 1
+        else:
+            self._publish_times.append(self.env.now)
+        self.put(message)
+        depth = len(self._items)
         if depth > self.peak_depth:
             self.peak_depth = depth
 
     def _note_delivered(self, count: int = 1) -> None:
+        self.delivered += count
         now = self.env.now
         for _ in range(count):
-            if self._publish_times:
-                self.total_wait_time += now - self._publish_times.popleft()
+            self.total_wait_time += now - self._publish_times.popleft()
 
     def get(self) -> Event:
         """Event that fires with the next message (or fails QueueClosed)."""
-        if self._closed and len(self._store) == 0:
+        if self._closed and not self._items:
             ev = self.env.event(name=f"get-closed:{self.name}")
             ev.fail(QueueClosed(self.name))
             return ev
-        ev = self._store.get()
-        if not ev.triggered:
-            self._pending_gets.append(ev)
-        else:
-            self.delivered += 1
+        ev = super().get()
+        if ev.triggered:
             self._note_delivered()
-        ev.add_callback(self._on_delivery)
-        ev._on_cancel = self._cancel_get
         return ev
 
     @property
     def waiting_getters(self) -> int:
         """Number of subscribers currently blocked in :meth:`get`."""
-        return len(self._pending_gets)
+        return len(self._getters)
 
     def _cancel_get(self, ev: Event) -> bool:
         """Cancel hook (see :func:`repro.sim.core.cancel_wait`).
@@ -94,22 +93,19 @@ class MessageQueue:
         Either unregisters a blocked getter, or — when the message was
         already handed to the event but the getter will never resume —
         pushes it back to the head of the queue so it is redelivered
-        instead of silently lost.  The pushed-back message gets a fresh
-        publish stamp at the cancel instant: its original stamp was
-        consumed at delivery, and re-stamping keeps the stamp deque
-        paired one-to-one with buffered messages (wait-time accounting
-        treats the redelivery as a new publish).
+        instead of silently lost.  The pushed-back message is no longer
+        delivered and gets a fresh publish stamp at the cancel instant,
+        keeping the stamp deque paired one-to-one with buffered messages
+        (wait-time accounting treats the redelivery as a new publish).
+        A get handed its message by a publish is cancelled at that
+        publish instant, so its stamp is its publish stamp.
         """
-        if ev in self._pending_gets:
-            self._pending_gets.remove(ev)
-            self._store._cancel_get(ev)
-            return True
-        if ev.triggered and not ev.processed and ev.exception is None:
-            self._store._items.appendleft(ev._value)
+        if not super()._cancel_get(ev):
+            return False
+        if ev.triggered:
             self._publish_times.appendleft(self.env.now)
             self.delivered -= 1
-            return True
-        return False
+        return True
 
     def get_batch(self, max_items: int) -> List[Any]:
         """Take up to ``max_items`` already-buffered messages, non-blocking.
@@ -120,42 +116,29 @@ class MessageQueue:
         is buffered (including on a closed queue — close keeps buffered
         messages readable, and there is nothing to fail here).
         """
-        if max_items <= 0:
-            return []
-        out = self._store.get_batch(max_items)
-        self.delivered += len(out)
+        out = super().get_batch(max_items)
         self._note_delivered(len(out))
         return out
 
-    def peek_head(self) -> Any:
-        """The oldest undelivered message without removing it, or None."""
-        return self._store.peek()
-
-    def _on_delivery(self, ev: Event) -> None:
-        if ev in self._pending_gets:
-            self._pending_gets.remove(ev)
-            if ev.exception is None:
-                self.delivered += 1
-                self._note_delivered()
+    #: The oldest undelivered message without removing it, or None.
+    peek_head = Store.peek
+    #: Snapshot of undelivered messages (inspection only).
+    backlog = Store.peek_all
 
     def close(self) -> None:
         """Close the queue; buffered messages remain readable."""
         if self._closed:
             return
         self._closed = True
-        pending, self._pending_gets = self._pending_gets, []
-        for ev in pending:
-            if not ev.triggered:
-                ev.fail(QueueClosed(self.name))
-
-    def backlog(self) -> List[Any]:
-        """Snapshot of undelivered messages (inspection only)."""
-        return self._store.peek_all()
+        getters = list(self._getters)
+        self._getters.clear()
+        for ev in getters:
+            ev.fail(QueueClosed(self.name))
 
     def drain(self) -> List[Any]:
         """Remove and return all undelivered messages (failure injection)."""
         self._publish_times.clear()
-        return self._store.drain()
+        return super().drain()
 
 
 class QueueGroup:

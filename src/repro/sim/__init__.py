@@ -24,7 +24,7 @@ from repro.sim.core import (
     Timeout,
     run_sync,
 )
-from repro.sim.resources import Barrier, Gate, Resource, Store
+from repro.sim.resources import Barrier, Resource, Store
 from repro.sim.network import (
     Cluster,
     Network,
@@ -46,7 +46,6 @@ __all__ = [
     "Counter",
     "Environment",
     "Event",
-    "Gate",
     "Interrupt",
     "Network",
     "NetworkParams",

@@ -4,7 +4,6 @@
   cache-node CPUs, NIC serialization).  FIFO grant order keeps runs
   deterministic.
 * :class:`Store` — unbounded FIFO channel of items (models message queues).
-* :class:`Gate` — a level-triggered condition processes can wait on.
 * :class:`Barrier` — classic N-party rendezvous (used by the mdtest
   workload to reproduce MPI phase barriers).
 """
@@ -16,7 +15,7 @@ from typing import Any, Callable, Deque, Generator, Optional
 
 from repro.sim.core import Environment, Event, SimulationError
 
-__all__ = ["Resource", "Store", "Gate", "Barrier"]
+__all__ = ["Resource", "Store", "Barrier"]
 
 
 class Resource:
@@ -217,42 +216,6 @@ class Store:
         items = list(self._items)
         self._items.clear()
         return items
-
-
-class Gate:
-    """A level-triggered condition.
-
-    While closed, ``wait()`` events queue up; ``open()`` releases all of
-    them and lets subsequent waits pass immediately until ``close()``.
-    """
-
-    def __init__(self, env: Environment, opened: bool = False, name: str = ""):
-        self.env = env
-        self.name = name
-        self._open = opened
-        self._waiters: list[Event] = []
-        self._event_name = f"gate:{name}"
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def wait(self) -> Event:
-        ev = Event(self.env, self._event_name)
-        if self._open:
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def open(self) -> None:
-        self._open = True
-        waiters, self._waiters = self._waiters, []
-        for ev in waiters:
-            ev.succeed()
-
-    def close(self) -> None:
-        self._open = False
 
 
 class Barrier:

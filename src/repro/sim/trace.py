@@ -26,7 +26,7 @@ client critical path, bucketing the op's wall time into the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = ["TraceEvent", "Tracer", "NULL_TRACER", "SpanContext", "Span",
            "ATTRIBUTION_BUCKETS"]
@@ -225,42 +225,7 @@ class Tracer:
         Returns ``{op_id: root Span}`` for every op that emitted an
         ``op.start`` (roots of never-completed ops have ``end is None``).
         """
-        roots: Dict[int, Span] = {}
-        spans: Dict[int, Dict[int, Span]] = {}
-        for ev in self._events:
-            if ev.op_id is None:
-                continue
-            per_op = spans.setdefault(ev.op_id, {})
-            if ev.kind == "op.start":
-                root = Span(op_id=ev.op_id, span_id=ev.span_id or 0,
-                            parent_id=None, actor=ev.actor, category="op",
-                            name=ev.detail, start=ev.time)
-                roots[ev.op_id] = root
-                if ev.span_id is not None:
-                    per_op[ev.span_id] = root
-            elif ev.kind == "op.end":
-                root = roots.get(ev.op_id)
-                if root is not None:
-                    root.end = ev.time
-            elif ev.kind == "span.start" and ev.span_id is not None:
-                parts = ev.detail.split(" ", 1)
-                per_op[ev.span_id] = Span(
-                    op_id=ev.op_id, span_id=ev.span_id,
-                    parent_id=ev.parent_id, actor=ev.actor,
-                    category=parts[0] if parts else "",
-                    name=parts[1] if len(parts) > 1 else "",
-                    start=ev.time)
-            elif ev.kind == "span.end" and ev.span_id in per_op:
-                per_op[ev.span_id].end = ev.time
-        for op_id, root in roots.items():
-            per_op = spans.get(op_id, {})
-            for span in per_op.values():
-                if span is root:
-                    continue
-                parent = (per_op.get(span.parent_id)
-                          if span.parent_id is not None else None)
-                (parent if parent is not None else root).children.append(span)
-        return roots
+        return _assemble_span_trees(self._events)
 
     def attributions(self) -> Dict[int, Dict[str, Any]]:
         """Latency attribution for every *completed* op, keyed by op_id."""
@@ -280,39 +245,8 @@ class Tracer:
         stages emitted before their parent's start was recorded, capacity
         drops) attach to the root so nothing disappears.
         """
-        spans: Dict[int, Span] = {}
-        root: Optional[Span] = None
-        for ev in self._events:
-            if ev.op_id != op_id:
-                continue
-            if ev.kind == "op.start":
-                root = Span(op_id=op_id, span_id=ev.span_id or 0,
-                            parent_id=None, actor=ev.actor, category="op",
-                            name=ev.detail, start=ev.time)
-                if ev.span_id is not None:
-                    spans[ev.span_id] = root
-            elif ev.kind == "op.end":
-                if root is not None:
-                    root.end = ev.time
-            elif ev.kind == "span.start" and ev.span_id is not None:
-                parts = ev.detail.split(" ", 1)
-                category = parts[0] if parts else ""
-                name = parts[1] if len(parts) > 1 else ""
-                spans[ev.span_id] = Span(
-                    op_id=op_id, span_id=ev.span_id, parent_id=ev.parent_id,
-                    actor=ev.actor, category=category, name=name,
-                    start=ev.time)
-            elif ev.kind == "span.end" and ev.span_id in spans:
-                spans[ev.span_id].end = ev.time
-        if root is None:
-            return None
-        for span in spans.values():
-            if span is root:
-                continue
-            parent = spans.get(span.parent_id) if span.parent_id is not None \
-                else None
-            (parent if parent is not None else root).children.append(span)
-        return root
+        return _assemble_span_trees(
+            ev for ev in self._events if ev.op_id == op_id).get(op_id)
 
     def attribution(self, op_id: int) -> Optional[Dict[str, Any]]:
         """Critical-path wall-time decomposition for one completed op.
@@ -373,6 +307,50 @@ def _attribute(root: Span) -> Dict[str, Any]:
         "buckets": buckets,
         "residual": residual,
     }
+
+
+def _assemble_span_trees(events: Iterable[TraceEvent]) -> Dict[int, Span]:
+    """Build ``{op_id: root Span}`` from op and span events.
+
+    Children attach to their ``parent_id`` span, or to the op's root when
+    the parent is unknown; ops without an ``op.start`` have no tree.
+    """
+    roots: Dict[int, Span] = {}
+    spans: Dict[int, Dict[int, Span]] = {}
+    for ev in events:
+        if ev.op_id is None:
+            continue
+        per_op = spans.setdefault(ev.op_id, {})
+        if ev.kind == "op.start":
+            root = Span(op_id=ev.op_id, span_id=ev.span_id or 0,
+                        parent_id=None, actor=ev.actor, category="op",
+                        name=ev.detail, start=ev.time)
+            roots[ev.op_id] = root
+            if ev.span_id is not None:
+                per_op[ev.span_id] = root
+        elif ev.kind == "op.end":
+            root = roots.get(ev.op_id)
+            if root is not None:
+                root.end = ev.time
+        elif ev.kind == "span.start" and ev.span_id is not None:
+            parts = ev.detail.split(" ", 1)
+            per_op[ev.span_id] = Span(
+                op_id=ev.op_id, span_id=ev.span_id,
+                parent_id=ev.parent_id, actor=ev.actor,
+                category=parts[0] if parts else "",
+                name=parts[1] if len(parts) > 1 else "",
+                start=ev.time)
+        elif ev.kind == "span.end" and ev.span_id in per_op:
+            per_op[ev.span_id].end = ev.time
+    for op_id, root in roots.items():
+        per_op = spans.get(op_id, {})
+        for span in per_op.values():
+            if span is root:
+                continue
+            parent = (per_op.get(span.parent_id)
+                      if span.parent_id is not None else None)
+            (parent if parent is not None else root).children.append(span)
+    return roots
 
 
 class _NullTracer(Tracer):

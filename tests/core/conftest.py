@@ -37,9 +37,10 @@ class World:
 
 
 def make_world(workspace: str = "/app", n_nodes: int = 4,
-               config: PaconConfig = None, seed: int = 7) -> World:
+               config: PaconConfig = None, seed: int = 7,
+               n_mds: int = 1) -> World:
     cluster = Cluster(seed=seed)
-    dfs = BeeGFS(cluster)
+    dfs = BeeGFS(cluster, n_mds=n_mds)
     nodes = [cluster.add_node(f"client{i}") for i in range(n_nodes)]
     deployment = PaconDeployment(cluster, dfs)
     if config is None:

@@ -9,6 +9,8 @@ destructive faults produce a subset with exact loss accounting.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.chaos.engine import ChaosEngine, ChaosSchedule, Fault
 from repro.chaos.invariants import (
@@ -17,7 +19,9 @@ from repro.chaos.invariants import (
     namespace_entries,
 )
 from repro.chaos.scenarios import run_scenario
-from repro.core.failure import fail_node
+from repro.core.config import PaconConfig
+from repro.core.commit import OpMessage
+from repro.core.failure import fail_mds, fail_node
 from repro.obs.hub import MetricsHub
 from repro.sim.core import run_sync
 from repro.sim.network import Cluster, MessageDropped, NodeDownError
@@ -158,6 +162,130 @@ class TestAbort:
         submitted = world.region.ops_submitted
         committed = world.region.ops_committed
         assert submitted == committed + report.lost_queued_ops
+
+    # A crash while one op of a drain is mid-RPC must count as lost only
+    # the ops that are still unresolved: an earlier op of the same drain
+    # that was already resubmitted, replayed, discarded or coalesced is
+    # accounted for exactly once, where it went.  "release" crashes while
+    # ops held for the next epoch are released one drain at a time.
+    @pytest.mark.parametrize("case, counter, count", [
+        ("resubmit", "resubmissions", 1),
+        ("replay", "replays", 1),
+        ("discard", "discarded", 1),
+        ("coalesce", "coalesced", 2),
+        ("release", "barriers_passed", 1),
+    ])
+    def test_crash_mid_drain_counts_each_op_once(self, case, counter, count):
+        world = make_world(n_mds=2 if case == "replay" else 1)
+        region, dfs = world.region, world.dfs
+        hub = MetricsHub()
+        hub.attach_region(region)
+        cp = region.commit_processes[0]
+        later = _op("create", "/app/g")
+        if case == "resubmit":
+            msgs = [_op("create", "/app/missing/f"), later]
+        elif case == "replay":
+            # /app/b's entries live on mds1; "/" and /app stay on mds0,
+            # so only the final RPC of the first create hits the crash.
+            assert dfs.mds_for("/app/b") is dfs.mds_servers[1]
+            assert dfs.mds_for("/app") is dfs.mds_servers[0]
+            assert dfs.mds_for("/") is dfs.mds_servers[0]
+            dfs.mkdir_sync("/app/b")
+            fail_mds(dfs, 1)
+            msgs = [_op("create", "/app/b/f"), later]
+        elif case == "discard":
+            region.note_removed_subtree("/app/gone")
+            msgs = [_op("create", "/app/gone/f"), later]
+        elif case == "coalesce":
+            # The create's uncommitted cache record, so the pair cancels.
+            region.cache.shard_for("/app/c").kv.set(
+                "/app/c", {"ino": 99, "committed": False, "mode": 0o644})
+            msgs = [_op("create", "/app/c", gen_ino=99),
+                    _op("rm", "/app/c", gen_ino=99), later]
+        else:
+            region.trigger_barrier()
+            msgs = [_op("create", "/app/g", epoch=1),
+                    _op("create", "/app/h", epoch=1)]
+        _publish(world, msgs)
+        _step_until(world, lambda: getattr(cp, counter) == count and any(
+            server.workers.in_use for server in dfs.mds_servers))
+        assert cp.committed == 0  # the later op is still mid-RPC
+        report = fail_node(region, world.nodes[0])
+        _assert_accounted(world, report)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(stream=st.lists(
+        st.sampled_from([
+            ("mkdir", "/app/d"), ("mkdir", "/app/e"),
+            ("create", "/app/d/f"), ("create", "/app/e/f"),
+            ("create", "/app/f"), ("create", "/app/gone/f"),
+            ("rm", "/app/d/f"), ("rm", "/app/f"), "barrier"]),
+        min_size=1, max_size=12),
+        crash_step=st.integers(min_value=0, max_value=400),
+        batch_size=st.sampled_from([1, 4, 16]))
+    def test_crash_at_any_step_keeps_accounting_identity(
+            self, stream, crash_step, batch_size):
+        world = make_world(config=PaconConfig(workspace="/app",
+                                              commit_batch_size=batch_size))
+        region = world.region
+        hub = MetricsHub()
+        hub.attach_region(region)
+        region.note_removed_subtree("/app/gone")
+        msgs = []
+        for item in stream:
+            if item == "barrier":
+                _publish(world, msgs)
+                msgs = []
+                region.trigger_barrier()
+            else:
+                msgs.append(_op(*item, epoch=region.client_epoch))
+        _publish(world, msgs)
+        env = world.cluster.env
+        for _ in range(crash_step):
+            if env.peek() == float("inf"):
+                break
+            env.step()
+        report = fail_node(region, world.nodes[0])
+        _assert_accounted(world, report)
+
+
+def _op(op, path, **kwargs):
+    if op == "mkdir":
+        kwargs.setdefault("mode", 0o755)
+    return OpMessage(op=op, path=path, **kwargs)
+
+
+def _publish(world, msgs):
+    """Publish straight into node 0's commit queue, as a client would."""
+    region = world.region
+    queue = region.queues.route(world.nodes[0].node_id)
+    for msg in msgs:
+        msg.timestamp = region.env.now
+        queue.publish(msg)
+        region.ops_submitted += 1
+        region.note_op_pending(msg.path)
+
+
+def _step_until(world, predicate, limit=100_000):
+    env = world.cluster.env
+    for _ in range(limit):
+        if predicate():
+            return
+        env.step()
+    raise AssertionError("condition never reached")
+
+
+def _assert_accounted(world, report):
+    """submitted == committed + discarded + coalesced + lost, and every
+    lost op left the version-lag ledger."""
+    region = world.region
+    cps = region.commit_processes
+    discarded = sum(cp.discarded for cp in cps)
+    coalesced = sum(cp.coalesced for cp in cps)
+    assert region.ops_submitted == (region.ops_committed + discarded
+                                    + coalesced + report.lost_queued_ops)
+    assert region.total_pending_mutations() == 0
 
 
 class TestCheckpointClamp:

@@ -1,9 +1,9 @@
-"""Unit tests for Resource, Store, Gate, Barrier."""
+"""Unit tests for Resource, Store, Barrier."""
 
 import pytest
 
 from repro.sim.core import Environment, SimulationError, run_sync
-from repro.sim.resources import Barrier, Gate, Resource, Store
+from repro.sim.resources import Barrier, Resource, Store
 
 
 @pytest.fixture
@@ -212,45 +212,6 @@ class TestStore:
         assert store.peek_all() == [0, 1, 2, 3]
         assert store.drain() == [0, 1, 2, 3]
         assert len(store) == 0
-
-
-class TestGate:
-    def test_closed_gate_blocks(self, env):
-        gate = Gate(env)
-        passed = []
-
-        def waiter():
-            yield gate.wait()
-            passed.append(env.now)
-
-        env.process(waiter())
-
-        def opener():
-            yield env.timeout(3.0)
-            gate.open()
-
-        env.process(opener())
-        env.run()
-        assert passed == [3.0]
-
-    def test_open_gate_passes_immediately(self, env):
-        gate = Gate(env, opened=True)
-        ev = gate.wait()
-        assert ev.triggered
-
-    def test_reclose_blocks_again(self, env):
-        gate = Gate(env, opened=True)
-        gate.close()
-        ev = gate.wait()
-        assert not ev.triggered
-        gate.open()
-        assert ev.triggered
-
-    def test_open_releases_all_waiters(self, env):
-        gate = Gate(env)
-        events = [gate.wait() for _ in range(5)]
-        gate.open()
-        assert all(ev.triggered for ev in events)
 
 
 class TestBarrier:
