@@ -37,10 +37,17 @@ def normalize_path(path: str) -> str:
     """Validate and canonicalize an absolute path.
 
     Rejects relative paths and '.'/'..' segments (the DFS client resolves
-    those before they hit the wire, as real DFS clients do).
+    those before they hit the wire, as real DFS clients do).  A path that
+    is already canonical is returned as is, after C-level string tests.
     """
-    if not isinstance(path, str) or not path:
-        raise InvalidPath(str(path), "empty path")
+    if (type(path) is str and path[:1] == "/" and "//" not in path
+            and "/." not in path and "\x00" not in path
+            and (path[-1] != "/" or path == "/")):
+        return path
+    if not isinstance(path, str):
+        raise InvalidPath(str(path), "path must be a str")
+    if not path:
+        raise InvalidPath(path, "empty path")
     if not path.startswith("/"):
         raise InvalidPath(path, "path must be absolute")
     if "\x00" in path:

@@ -38,10 +38,29 @@ class CapacityExceeded(Exception):
     """Store is full and the owner has not freed space."""
 
 
+#: Scalar sizes by exact type; subclasses (``IntFlag``, ...) take the
+#: isinstance chain, which gives the same answer.
+_SCALAR_SIZE = {type(None): 8, int: 16, float: 16, bool: 16}
+
+
 def _sizeof(value: Any) -> int:
-    """Approximate in-cache footprint of a value, in bytes."""
-    if value is None:
-        return 8
+    """Approximate in-cache footprint of a value, in bytes.
+
+    Scalars, ASCII str, bytes and flat dicts (every cache record) are
+    sized without recursion; the isinstance chain gives the same sizes.
+    """
+    t = type(value)
+    if t in _SCALAR_SIZE:
+        return _SCALAR_SIZE[t]
+    if t is bytes or t is str and value.isascii():
+        return len(value)
+    if t is dict:
+        size = 64
+        for k, v in value.items():
+            n = _SCALAR_SIZE.get(type(v))
+            size += (_sizeof(v) if n is None else n) + (
+                len(k) if type(k) is str and k.isascii() else _sizeof(k))
+        return size
     if isinstance(value, bytes):
         return len(value)
     if isinstance(value, str):
@@ -106,6 +125,13 @@ class MemKV:
     def _entry_size(self, key: str, value: Any) -> int:
         return len(key.encode("utf-8")) + _sizeof(value) + 48  # item overhead
 
+    def _capacity_error(self, verb: str, key: str,
+                        delta: int) -> CapacityExceeded:
+        """A write that does not fit: needed, used and capacity bytes."""
+        return CapacityExceeded(
+            f"{self.name or 'memkv'}: {verb}({key!r}) needs {delta}B, "
+            f"used {self._used_bytes}/{self.capacity_bytes}")
+
     def get(self, key: str) -> Optional[Any]:
         item = self._items.get(key)
         if item is None:
@@ -129,9 +155,7 @@ class MemKV:
         old = self._items.get(key)
         delta = size - (old.size if old else 0)
         if self._used_bytes + delta > self.capacity_bytes:
-            raise CapacityExceeded(
-                f"{self.name or 'memkv'}: set({key!r}) needs {delta}B, "
-                f"used {self._used_bytes}/{self.capacity_bytes}")
+            raise self._capacity_error("set", key, delta)
         self._used_bytes += delta
         version = self._next_version()
         self._items[key] = Item(value=value, version=version, size=size,
@@ -159,7 +183,7 @@ class MemKV:
         size = self._entry_size(key, value)
         delta = size - item.size
         if self._used_bytes + delta > self.capacity_bytes:
-            raise CapacityExceeded(key)
+            raise self._capacity_error("cas", key, delta)
         self._used_bytes += delta
         version = self._next_version()
         self._items[key] = Item(value=value, version=version, size=size,

@@ -11,6 +11,7 @@
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush as _heappush
 from typing import Any, Callable, Deque, Generator, Optional
 
 from repro.sim.core import Environment, Event, SimulationError
@@ -42,6 +43,8 @@ class Resource:
         # Event name built once — acquire() runs per simulated op and a
         # per-call f-string shows up in kernel profiles.
         self._event_name = f"acquire:{name}"
+        # Cancel hook bound once, not once per acquire.
+        self._cancel_hook = self._cancel_acquire
 
     @property
     def in_use(self) -> int:
@@ -76,17 +79,22 @@ class Resource:
 
     def acquire(self) -> Event:
         """Return an event that fires when a slot is granted."""
-        self._account()
+        env = self.env
+        now = env.now
+        self._busy_time += self._in_use * (now - self._last_change)
+        self._last_change = now
         self.total_acquires += 1
-        ev = Event(self.env, self._event_name)
-        ev._on_cancel = self._cancel_acquire
+        ev = Event(env, self._event_name)
+        ev._on_cancel = self._cancel_hook
         if self._in_use < self.capacity and not self._waiters:
             self._in_use += 1
-            ev.succeed(self.env.now)  # value: grant time (== request time)
+            # ev.succeed(now) inlined; value: grant time (== request time).
+            ev._value = now
+            ev._scheduled = True
+            env._seq = seq = env._seq + 1
+            _heappush(env._heap, (now, seq, None, ev))
         else:
-            setattr_time = self.env.now
-            ev.add_callback(
-                lambda e, t0=setattr_time: self._note_wait(t0))
+            ev.add_callback(lambda e, t0=now: self._note_wait(t0))
             self._waiters.append(ev)
             if len(self._waiters) > self.peak_queue:
                 self.peak_queue = len(self._waiters)
@@ -119,11 +127,12 @@ class Resource:
     def release(self) -> None:
         if self._in_use <= 0:
             raise SimulationError(f"release() on idle resource {self.name!r}")
-        self._account()
+        now = self.env.now
+        self._busy_time += self._in_use * (now - self._last_change)
+        self._last_change = now
         if self._waiters:
             # Hand the slot directly to the next waiter; _in_use unchanged.
-            nxt = self._waiters.popleft()
-            nxt.succeed(self.env.now)
+            self._waiters.popleft().succeed(now)
         else:
             self._in_use -= 1
 

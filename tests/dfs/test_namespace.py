@@ -41,6 +41,18 @@ class TestPathHelpers:
         with pytest.raises(InvalidPath):
             normalize_path("")
 
+    @pytest.mark.parametrize("bad", [None, b"/x", 42])
+    def test_non_str_rejected_as_non_str(self, bad):
+        with pytest.raises(InvalidPath) as info:
+            normalize_path(bad)
+        assert info.value.detail == "path must be a str"
+        assert info.value.path == str(bad)
+
+    def test_empty_string_reason(self):
+        with pytest.raises(InvalidPath) as info:
+            normalize_path("")
+        assert info.value.detail == "empty path"
+
     def test_dot_segments_rejected(self):
         with pytest.raises(InvalidPath):
             normalize_path("/a/../b")

@@ -137,6 +137,21 @@ class TestMemoryAccounting:
         with pytest.raises(CapacityExceeded):
             kv.set("/a", b"x" * 1000)
 
+    def test_cas_capacity_error_reports_bytes_like_set(self):
+        kv = MemKV(capacity_bytes=500, name="shard0")
+        kv.set("/a", b"x")
+        _, token = kv.gets("/a")
+        used = kv.used_bytes
+        with pytest.raises(CapacityExceeded) as cas_info:
+            kv.cas("/a", b"x" * 1000, token)
+        with pytest.raises(CapacityExceeded) as set_info:
+            kv.set("/a", b"x" * 1000)
+        assert str(cas_info.value) == (
+            f"shard0: cas('/a') needs 999B, used {used}/500")
+        assert str(set_info.value) == str(cas_info.value).replace(
+            "cas(", "set(")
+        assert kv.used_bytes == used  # a refused write changes nothing
+
     def test_usage_fraction(self):
         kv = MemKV(capacity_bytes=10_000)
         kv.set("/a", b"x" * 5000)

@@ -4,7 +4,8 @@ import pytest
 
 from repro.sim.core import run_sync
 from repro.sim.costs import CostModel
-from repro.sim.network import Cluster, NodeDownError, Service
+from repro.sim.network import (Cluster, MessageDropped, NodeDownError,
+                               Service)
 
 
 @pytest.fixture
@@ -127,6 +128,85 @@ class TestNetworkTransfer:
         per_instant = Counter(round(t, 12) for t in done)
         assert max(per_instant.values()) <= channels
         assert len(per_instant) >= len(done) // channels
+
+
+class TestPartition:
+    """Cuts decide a message's fate at send and again at delivery."""
+
+    def _send_with_cut_event(self, cluster, at, action):
+        """Send a->b (0 bytes); run ``action`` ``at`` seconds later.
+
+        Returns (outcome, delivery time, network) where outcome is
+        "delivered" or "dropped".
+        """
+        a, b, c, d = cluster.add_nodes(4)
+        net = cluster.network
+        env = cluster.env
+        nodes = {"a": a, "b": b, "c": c, "d": d}
+
+        def sender():
+            try:
+                yield from net.transfer(a, b, 0)
+            except MessageDropped:
+                return "dropped", env.now
+            return "delivered", env.now
+
+        def chaos():
+            yield env.timeout(at)
+            action(net, nodes)
+
+        env.process(chaos())
+        outcome, t = run_sync(env, sender())
+        return outcome, t, net
+
+    def _mid_flight(self, cluster):
+        # Inside the propagation delay, after the sender NIC let go.
+        p = cluster.network.params
+        assert p.latency > 0
+        return p.msg_overhead + p.latency / 2
+
+    def test_cut_between_endpoints_mid_flight_drops_at_delivery(
+            self, cluster):
+        outcome, t, net = self._send_with_cut_event(
+            cluster, self._mid_flight(cluster),
+            lambda net, n: net.partition([n["a"]], [n["b"]]))
+        p = net.params
+        assert outcome == "dropped"
+        assert t == pytest.approx(p.msg_overhead + p.latency)
+        assert net.dropped == 1
+
+    def test_cut_between_other_nodes_mid_flight_delivers(self, cluster):
+        # A cut installed mid-flight that does not separate a from b
+        # must not touch the message (the send-time snapshot is a flag,
+        # not a view of the live cut table).
+        outcome, t, net = self._send_with_cut_event(
+            cluster, self._mid_flight(cluster),
+            lambda net, n: net.partition([n["a"], n["c"]],
+                                         [n["d"]]))
+        p = net.params
+        assert outcome == "delivered"
+        assert t == pytest.approx(2 * p.msg_overhead + p.latency)
+        assert net.dropped == 0
+
+    def test_send_into_cut_that_heals_mid_flight_still_drops(
+            self, cluster):
+        a, b = cluster.add_nodes(2)
+        net = cluster.network
+        env = cluster.env
+        cut = net.partition([a], [b])
+
+        def healer():
+            yield env.timeout(self._mid_flight(cluster))
+            net.heal(cut)
+
+        def sender():
+            yield from net.transfer(a, b, 0)
+
+        env.process(healer())
+        with pytest.raises(MessageDropped):
+            run_sync(env, sender())
+        assert not net.is_partitioned(a, b)
+        assert net.dropped == 1
 
 
 class TestService:
