@@ -41,7 +41,7 @@ def main() -> None:
 
     report = fail_node(region, nodes[2])
     print(f"node {report.node_name} crashed: lost"
-          f" {report.lost_cache_entries} cached records and"
+          f" {report.lost_cache} cached records and"
           f" {report.lost_queued_ops} queued ops")
 
     # Phase 3: recover — bring the node back, roll back, rebuild.

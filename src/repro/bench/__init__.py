@@ -20,6 +20,7 @@ module            paper content                               scale knob
                   related-work trade-off studies
 ``chaos``         fault injection: post-recovery convergence  extension
 ``elastic``       flash crowd: autoscaled vs static           extension
+``kernel``        DES kernel event throughput                 substrate
 ================  ==========================================  ==========
 
 Each driver exposes ``run(scale=\"ci\") -> ExperimentResult``;

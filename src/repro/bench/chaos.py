@@ -53,12 +53,12 @@ def run(scale: str = "smoke", seed: int = DEFAULT_SEED,
             name, seed=seed,
             hub=hub if name == SCENARIOS[-1] else None, **params)
         scenarios_ok += int(result.ok)
-        total_faults += len(result.fault_records)
+        total_faults += len(result.fault_events)
         total_lost += result.lost_ops
         total_replays += result.replays
         total_dropped += result.dropped
         out.add(scenario=name, ok=int(result.ok),
-                faults=len(result.fault_records),
+                faults=len(result.fault_events),
                 lost_ops=result.lost_ops, replays=result.replays,
                 net_dropped=result.dropped,
                 entries=int(result.report.checks.get("entries", 0)),

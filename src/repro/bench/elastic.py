@@ -228,7 +228,7 @@ def _run_mode(mode: str, params: Dict[str, Any], seed: int,
         "committed": region.ops_committed,
         "scale_ups": scaler.scale_ups if scaler else 0,
         "scale_downs": scaler.scale_downs if scaler else 0,
-        "migrated": sum(a.moved for a in scaler.actions) if scaler else 0,
+        "migrated": scaler.migrated if scaler else 0,
     }
     if scaler is not None and scaler.failed:
         row["scale_failed"] = scaler.failed

@@ -17,15 +17,15 @@ import time
 from typing import List, Optional
 
 from repro.bench import ablations, chaos, elastic, fig01, fig02, fig07, \
-    fig08, fig09, fig10, fig11, fig12, latency, sensitivity, staleness, \
-    table1
+    fig08, fig09, fig10, fig11, fig12, kernel, latency, sensitivity, \
+    staleness, table1
 from repro.bench.report import ExperimentResult
 from repro.bench.systems import DEFAULT_SEED
 
 __all__ = ["run_all", "write_snapshot_file", "DEFAULT_SEED"]
 
 DRIVERS = [fig01, fig02, table1, fig07, fig08, fig09, fig10, fig11, fig12,
-           latency, sensitivity, staleness, chaos, elastic]
+           latency, sensitivity, staleness, chaos, elastic, kernel]
 
 #: Simulated seconds between observability gauge samples when a bench run
 #: collects metrics.

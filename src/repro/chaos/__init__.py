@@ -17,7 +17,7 @@ partial-consistency bugs live.
   the tests, the chaos benchmark, and ``pacon-bench chaos``.
 """
 
-from repro.chaos.engine import ChaosEngine, ChaosSchedule, Fault, FaultRecord
+from repro.chaos.engine import ChaosEngine, ChaosSchedule, Fault
 from repro.chaos.invariants import (
     InvariantReport,
     check_convergence,
@@ -29,7 +29,6 @@ __all__ = [
     "ChaosEngine",
     "ChaosSchedule",
     "Fault",
-    "FaultRecord",
     "InvariantReport",
     "check_convergence",
     "namespace_digest",

@@ -14,7 +14,8 @@ Fault kinds:
     Crash one region node (cache shard wiped, queued + in-flight ops
     destroyed, commit process killed); recover restarts the commit
     process and re-publishes destroyed barrier markers.  Destructive:
-    the lost ops are accounted exactly, not replayed.
+    the lost ops are accounted exactly, not replayed; the recovery
+    event's detail carries ``lost_ops=N lost_cache=M``.
 ``mds_crash``
     Crash the DFS metadata server's node mid-commit.  Pacon clients keep
     working against the cache; commit processes replay lost round trips
@@ -31,7 +32,7 @@ Fault kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.failure import (
     fail_mds,
@@ -39,8 +40,9 @@ from repro.core.failure import (
     recover_mds,
     recover_node,
 )
+from repro.obs.timeline import ControlEvent
 
-__all__ = ["Fault", "FaultRecord", "ChaosSchedule", "ChaosEngine"]
+__all__ = ["Fault", "ChaosSchedule", "ChaosEngine"]
 
 FAULT_KINDS = ("node_crash", "mds_crash", "partition", "cache_churn")
 
@@ -63,19 +65,6 @@ class Fault:
         if self.at < 0 or self.duration <= 0:
             raise ValueError(f"fault needs at >= 0 and duration > 0,"
                              f" got at={self.at}, duration={self.duration}")
-
-
-@dataclass
-class FaultRecord:
-    """What one fault actually did."""
-
-    kind: str
-    target: int
-    injected_at: float
-    recovered_at: float
-    lost_ops: int = 0
-    lost_cache_entries: int = 0
-    detail: str = ""
 
 
 @dataclass
@@ -135,9 +124,12 @@ class ChaosEngine:
         self.schedule = schedule
         self.dfs = dfs if dfs is not None else deployment.dfs
         self.env = region.env
-        self.records: List[FaultRecord] = []
+        #: (fault.injected, fault.recovered) event pair per finished
+        #: fault, in recovery order.
+        self.events: List[Tuple[ControlEvent, ControlEvent]] = []
+        #: Queued ops destroyed by node crashes: the convergence
+        #: invariant's exact-loss term.
         self.lost_ops = 0
-        self.lost_cache_entries = 0
         self._procs: List[Any] = []
         self._churn_nodes: Dict[int, Any] = {}
 
@@ -162,25 +154,20 @@ class ChaosEngine:
         yield self.env.timeout(fault.at)
         hub = self.region.hub
         label = f"{fault.kind}[{fault.target}]"
-        injected_at = self.env.now
-        record = FaultRecord(kind=fault.kind, target=fault.target,
-                             injected_at=injected_at, recovered_at=-1.0)
-        inject_seq = hub.control(injected_at, "chaos", "fault.injected",
-                                 label)
+        injected = hub.control(self.env.now, "chaos", "fault.injected",
+                               label)
 
         if fault.kind == "node_crash":
             node = self.region.nodes[fault.target % len(self.region.nodes)]
             report = fail_node(self.region, node)
-            record.lost_ops = report.lost_queued_ops
-            record.lost_cache_entries = report.lost_cache_entries
-            record.detail = node.name
             self.lost_ops += report.lost_queued_ops
-            self.lost_cache_entries += report.lost_cache_entries
+            detail = (f"{node.name} lost_ops={report.lost_queued_ops}"
+                      f" lost_cache={report.lost_cache}")
             yield self.env.timeout(fault.duration)
             recover_node(self.region, node)
         elif fault.kind == "mds_crash":
             server = fail_mds(self.dfs, fault.target)
-            record.detail = server.node.name
+            detail = server.node.name
             yield self.env.timeout(fault.duration)
             recover_mds(self.dfs, fault.target)
         elif fault.kind == "partition":
@@ -191,7 +178,7 @@ class ChaosEngine:
                                   list(self.dfs.data_servers))
                       if srv.node.node_id not in side_a]
             cut = network.partition(side_a, side_b)
-            record.detail = f"cut#{cut}"
+            detail = f"cut#{cut}"
             yield self.env.timeout(fault.duration)
             network.heal(cut)
         elif fault.kind == "cache_churn":
@@ -200,14 +187,11 @@ class ChaosEngine:
             self._churn_nodes[id(node)] = node
             moved_in = yield from self.deployment.grow_region_async(
                 self.region, node)
-            record.detail = f"{node.name} +{moved_in}"
             yield self.env.timeout(fault.duration)
             moved_out = yield from self.deployment.retire_node_async(
                 self.region, node)
-            record.detail += f" -{moved_out}"
+            detail = f"{node.name} +{moved_in} -{moved_out}"
 
-        record.recovered_at = self.env.now
-        self.records.append(record)
-        hub.control(self.env.now, "chaos", "fault.recovered", label,
-                    detail=record.detail, ref=inject_seq)
-        return record
+        recovered = hub.control(self.env.now, "chaos", "fault.recovered",
+                                label, detail=detail, ref=injected.seq)
+        self.events.append((injected, recovered))

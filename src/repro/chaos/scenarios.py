@@ -35,11 +35,12 @@ from repro.core.config import PaconConfig
 from repro.core.deploy import PaconDeployment
 from repro.dfs.beegfs import BeeGFS
 from repro.dfs.errors import FileExists, FileNotFound
+from repro.obs.timeline import ControlEvent
 from repro.sim.core import run_sync
 from repro.sim.network import Cluster, NodeDownError
 
 __all__ = ["SCENARIOS", "ChaosWorld", "ScenarioResult", "build_world",
-           "run_scenario", "run_all"]
+           "run_scenario"]
 
 #: Matches repro.bench.systems.DEFAULT_SEED (not imported: repro.bench
 #: pulls optional heavyweight drivers; chaos must stay importable alone).
@@ -76,7 +77,8 @@ class ScenarioResult:
     seed: int
     report: InvariantReport
     schedule_signature: Tuple
-    fault_records: List[Any]
+    #: (fault.injected, fault.recovered) event pair per fault.
+    fault_events: List[Tuple[ControlEvent, ControlEvent]]
     lost_ops: int
     replays: int
     dropped: int
@@ -122,7 +124,7 @@ class ScenarioResult:
             "digest": self.report.digest,
             "problems": list(self.report.problems),
             "checks": {k: str(v) for k, v in self.report.checks.items()},
-            "faults": len(self.fault_records),
+            "faults": len(self.fault_events),
             "lost_ops": self.lost_ops,
             "replays": self.replays,
             "net_dropped": self.dropped,
@@ -342,7 +344,7 @@ def run_scenario(name: str, seed: int = DEFAULT_SEED,
     return ScenarioResult(
         name=name, seed=seed, report=report,
         schedule_signature=schedule.signature(),
-        fault_records=list(engine.records),
+        fault_events=list(engine.events),
         lost_ops=engine.lost_ops,
         replays=sum(cp.replays for cp in world.region.commit_processes),
         dropped=world.cluster.network.dropped,
@@ -364,13 +366,10 @@ def _slo_verdicts(doc, engine, horizon: float, end: float,
     """
     from repro.obs.slo import Policy, StalenessObjective
 
-    injected = [r.injected_at for r in engine.records
-                if r.injected_at is not None]
-    recovered = [r.recovered_at for r in engine.records
-                 if r.recovered_at is not None]
-    if not injected or not recovered:
+    if not engine.events:
         return None, None
-    t0, t1 = min(injected), max(recovered)
+    t0 = min(injected.time for injected, _ in engine.events)
+    t1 = max(recovered.time for _, recovered in engine.events)
     fault_span = max(0.0, t1 - t0)
     during = Policy("chaos-during", [StalenessObjective(
         "staleness-exposure", bound=fault_span + 0.5 * horizon,
@@ -379,15 +378,3 @@ def _slo_verdicts(doc, engine, horizon: float, end: float,
         "staleness-drained", bound=0.05 * horizon, mode="final")])
     return (during.evaluate(doc, (t0, t1)).to_doc(),
             post.evaluate(doc, (t1, end)).to_doc())
-
-
-def run_all(seed: int = DEFAULT_SEED, hub: Optional[Any] = None,
-            **kwargs) -> Dict[str, ScenarioResult]:
-    """Run every packaged scenario; the hub (if any) sees only the last
-    scenario's region (each scenario builds a fresh world)."""
-    results = {}
-    for name in SCENARIOS:
-        results[name] = run_scenario(
-            name, seed=seed, hub=hub if name == SCENARIOS[-1] else None,
-            **kwargs)
-    return results

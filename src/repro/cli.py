@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("fig01", "fig02", "table1", "fig07",
                                  "fig08", "fig09", "fig10", "fig11",
                                  "fig12", "latency", "sensitivity",
-                                 "staleness"))
+                                 "staleness", "kernel"))
     figure.add_argument("--scale", choices=("smoke", "ci", "paper"),
                         default="ci")
     figure.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -176,18 +176,21 @@ def build_parser() -> argparse.ArgumentParser:
     slo.add_argument("--json", action="store_true", dest="as_json",
                      help="machine-readable result instead of a table")
 
-    chaos = sub.add_parser(
-        "chaos", help="inject faults into a live Pacon run and check the"
-                      " post-recovery convergence invariants")
-    chaos.add_argument("scenario", nargs="?", default="all",
+    def _chaos_scenario_args(p) -> None:
+        p.add_argument("scenario", nargs="?", default="all",
                        choices=("all", "mds_crash", "barrier_crash",
                                 "partition_heal", "cache_churn",
                                 "node_crash"))
-    chaos.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    chaos.add_argument("--items", type=int, default=24,
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--items", type=int, default=24,
                        help="files created per client")
-    chaos.add_argument("--nodes", type=int, default=3)
-    chaos.add_argument("--clients-per-node", type=int, default=2)
+        p.add_argument("--nodes", type=int, default=3)
+        p.add_argument("--clients-per-node", type=int, default=2)
+
+    chaos = sub.add_parser(
+        "chaos", help="inject faults into a live Pacon run and check the"
+                      " post-recovery convergence invariants")
+    _chaos_scenario_args(chaos)
     chaos.add_argument("--metrics-out", default=None,
                        help="write the faulty run's MetricsHub JSON here"
                             " (includes the chaos.* counters)")
@@ -199,15 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                           " flight recorder: detect SLO-burn incidents,"
                           " blame control-plane causes, and gate on"
                           " every fault being the top suspect")
-    incidents.add_argument("scenario", nargs="?", default="all",
-                           choices=("all", "mds_crash", "barrier_crash",
-                                    "partition_heal", "cache_churn",
-                                    "node_crash"))
-    incidents.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    incidents.add_argument("--items", type=int, default=24,
-                           help="files created per client")
-    incidents.add_argument("--nodes", type=int, default=3)
-    incidents.add_argument("--clients-per-node", type=int, default=2)
+    _chaos_scenario_args(incidents)
     incidents.add_argument("--json", action="store_true", dest="as_json",
                            help="machine-readable incident + attribution"
                                 " payload instead of a report")
@@ -507,13 +502,13 @@ def _cmd_chaos(args) -> int:
         for r in results:
             status = "ok" if r.ok else "FAILED"
             print(f"== {r.name} [{status}] seed={r.seed}"
-                  f" faults={len(r.fault_records)} lost={r.lost_ops}"
+                  f" faults={len(r.fault_events)} lost={r.lost_ops}"
                   f" replays={r.replays} dropped={r.dropped}")
             print(r.report)
-            for rec in r.fault_records:
-                print(f"  fault {rec.kind}[{rec.target}]"
-                      f" t={rec.injected_at:.6f}->{rec.recovered_at:.6f}"
-                      f" lost={rec.lost_ops} {rec.detail}")
+            for injected, recovered in r.fault_events:
+                print(f"  fault {injected.label}"
+                      f" t={injected.time:.6f}->{recovered.time:.6f}"
+                      f" {recovered.detail}")
             for label, doc in (("during-fault", r.slo_during),
                                ("post-recovery", r.slo_post)):
                 if doc is None:

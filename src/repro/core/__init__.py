@@ -21,7 +21,7 @@ per-process handle; :class:`repro.core.deploy.PaconFS` is a synchronous
 facade for library-style use.
 """
 
-from repro.core.autoscale import Autoscaler, AutoscaleAction
+from repro.core.autoscale import Autoscaler
 from repro.core.config import PaconConfig
 from repro.core.permissions import PermissionSpec, RegionPermissions
 from repro.core.region import ConsistentRegion, RegionManager, ReadOnlyRegion
@@ -33,7 +33,6 @@ from repro.core.eviction import EvictionManager
 from repro.core.checkpoint import CheckpointManager
 
 __all__ = [
-    "AutoscaleAction",
     "Autoscaler",
     "BarrierMessage",
     "CacheShard",

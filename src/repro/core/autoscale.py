@@ -30,11 +30,13 @@ An optional SLO hook (``autoscale_burn_threshold``) evaluates a
 burn-rate objective over the region's ``consistency.pending_age`` gauge
 series and forces a scale-up when the error budget is burning on every
 window, regardless of the utilization streak (still cooldown- and
-max-bounded).  Every action is recorded as an :class:`AutoscaleAction`
-for tests and the bench driver, and as one ``scale.*`` control-plane
-event through :meth:`repro.obs.hub.MetricsHub.control`, which feeds the
-``autoscale.*`` counters; the control loop samples ``autoscale.*``
-gauge series.
+max-bounded).  Every decision is recorded as one ``scale.*``
+control-plane event through :meth:`repro.obs.hub.MetricsHub.control`,
+which feeds the ``autoscale.*`` counters.  The controller keeps those
+events in :attr:`Autoscaler.events` (a disabled hub still returns them)
+and counts its scale-ups, scale-downs, failures and rejections from
+them through the same :func:`~repro.obs.timeline.control_metrics`
+table; the control loop samples ``autoscale.*`` gauge series.
 
 The controller composes with the chaos engine: a grow that races a node
 crash either completes (crashed peers are skipped by the migration) or
@@ -44,30 +46,15 @@ raised out of the control loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.core.deploy import PaconDeployment
 from repro.core.region import ConsistentRegion
-from repro.obs.timeline import JOINED
+from repro.obs.timeline import JOINED, ControlEvent, control_metrics
 from repro.sim.core import Event, Interrupt
 from repro.sim.network import Node, NodeDownError
 
-__all__ = ["Autoscaler", "AutoscaleAction"]
-
-
-@dataclass
-class AutoscaleAction:
-    """One attempted scaling action, successful or not."""
-
-    time: float
-    kind: str            # "grow" | "retire"
-    node: str            # node name
-    reason: str          # "util" | "backlog" | "burn_rate" | ...
-    ok: bool
-    latency: float = 0.0
-    moved: int = 0       # records migrated (grow/retire)
-    error: str = ""
+__all__ = ["Autoscaler"]
 
 
 class Autoscaler:
@@ -85,8 +72,10 @@ class Autoscaler:
         #: that pops from a pre-built warm pool so every provisioning
         #: mode shares an identical cluster topology.
         self.node_factory = node_factory or self._default_factory
-        self.actions: List[AutoscaleAction] = []
-        self.rejected = 0
+        #: Every ``scale.*`` event this controller recorded, in order.
+        self.events: List[ControlEvent] = []
+        #: Records moved by successful grow/retire migrations.
+        self.migrated = 0
         self._added: List[Node] = []     # retirement candidates, LIFO
         self._up_streak = 0
         self._down_streak = 0
@@ -107,17 +96,28 @@ class Autoscaler:
     def hub(self):
         return self.region.hub
 
+    def _count(self, counter: str) -> int:
+        """Events feeding ``counter``: the exported counter's value for
+        this controller alone."""
+        return sum(counter in control_metrics(ev.kind, ev.label,
+                                              ev.detail)[0]
+                   for ev in self.events)
+
     @property
     def scale_ups(self) -> int:
-        return sum(1 for a in self.actions if a.kind == "grow" and a.ok)
+        return self._count("autoscale.scale_up")
 
     @property
     def scale_downs(self) -> int:
-        return sum(1 for a in self.actions if a.kind == "retire" and a.ok)
+        return self._count("autoscale.scale_down")
 
     @property
     def failed(self) -> int:
-        return sum(1 for a in self.actions if a.error)
+        return self._count("autoscale.action_failed")
+
+    @property
+    def rejected(self) -> int:
+        return self._count("autoscale.rejected")
 
     # -- lifecycle ---------------------------------------------------------
     def start(self):
@@ -258,18 +258,18 @@ class Autoscaler:
         return None
 
     def _reject(self, kind: str, reason: str) -> None:
-        self.rejected += 1
-        self.hub.control(self.env.now, "autoscale", "scale.rejected", kind,
-                         detail=reason)
+        self.events.append(self.hub.control(
+            self.env.now, "autoscale", "scale.rejected", kind,
+            detail=reason))
 
     # -- acting ------------------------------------------------------------
     def _scale_up(self, reason: str) -> Generator[Event, Any, None]:
         region = self.region
         node = self.node_factory()
-        action = yield from self._act(
+        kept = yield from self._act(
             "grow", node, reason,
             self.deployment.grow_region_async(region, node), NodeDownError)
-        if action.ok:
+        if kept:
             self._added.append(node)
             hub = self.hub
             if hub.enabled:
@@ -285,43 +285,42 @@ class Autoscaler:
 
     def _scale_down(self, node: Node,
                     reason: str) -> Generator[Event, Any, None]:
-        action = yield from self._act(
+        retired = yield from self._act(
             "retire", node, reason,
             self.deployment.retire_node_async(self.region, node),
             (NodeDownError, ValueError, RuntimeError))
-        if action.ok and node in self._added:
+        if retired and node in self._added:
             self._added.remove(node)
 
     def _act(self, kind: str, node: Node, reason: str, migration,
-             errors) -> Generator[Event, Any, AutoscaleAction]:
-        """Drive one grow/retire migration; record its action and event.
+             errors) -> Generator[Event, Any, bool]:
+        """Drive one grow/retire migration and record its event; returns
+        whether the action took effect (the node joined or left).
 
         A failure is recorded, never raised: it costs time too, so its
         ``scale.failed`` event carries the latency and a structured
         ``<kind>:<ExcType>`` cause that incident blame can rank.
         """
         t0 = self.env.now
-        action = AutoscaleAction(time=t0, kind=kind, node=node.name,
-                                 reason=reason, ok=False)
-        self.actions.append(action)
         self._last_action_at = t0
         try:
-            action.moved = yield from migration
+            moved = yield from migration
         except errors as exc:
-            action.error = str(exc) or type(exc).__name__
+            error = str(exc) or type(exc).__name__
             # A grow whose node joined before a racing crash keeps the
             # node (its partially migrated shard refills from the DFS on
             # demand), which also counts as a scale-up.
-            action.ok = kind == "grow" and node in self.region.nodes
+            ok = kind == "grow" and node in self.region.nodes
             event = "scale.failed"
-            kept = f" {JOINED}" if action.ok else ""
+            kept = f" {JOINED}" if ok else ""
             detail = (f"{kind}:{type(exc).__name__} reason={reason}{kept}"
-                      f" error={action.error}")
+                      f" error={error}")
         else:
-            action.ok = True
+            ok = True
+            self.migrated += moved
             event = f"scale.{kind}"
-            detail = f"reason={reason} moved={action.moved}"
-        action.latency = self.env.now - t0
-        self.hub.control(t0, "autoscale", event, node.name, detail=detail,
-                         duration=action.latency)
-        return action
+            detail = f"reason={reason} moved={moved}"
+        self.events.append(self.hub.control(
+            t0, "autoscale", event, node.name, detail=detail,
+            duration=self.env.now - t0))
+        return ok

@@ -20,9 +20,9 @@ readdir     (none)            sync                   barrier
 
 Every method is a DES generator; wrap with
 :func:`repro.sim.core.run_sync` (or use :class:`repro.core.deploy.PaconFS`)
-for synchronous use.  When ``trace=True`` each call records the Table-I
-classification it actually exercised in ``last_trace`` — the Table I
-conformance tests and bench read that.
+for synchronous use.  Each call records the Table-I classification it
+actually exercised in ``last_class`` — the Table I conformance tests and
+bench read that.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class PaconClient:
     #: faithful and aggregate runs at matched logical scale.
     multiplier = 1
 
-    def __init__(self, region: ConsistentRegion, node, trace: bool = False):
+    def __init__(self, region: ConsistentRegion, node):
         self.region = region
         self.node = node
         self.env = region.env
@@ -94,10 +94,8 @@ class PaconClient:
         # Redirect path: an ordinary DFS client for out-of-region requests
         # and for Pacon's own synchronous DFS calls.
         self.dfs_client = region.dfs.client(node, uid=self.uid, gid=self.gid)
-        self.trace = trace
-        self.last_trace: Optional[Dict[str, Any]] = None
-        #: Table-I classification of the current/most recent op, kept as a
-        #: cheap tuple so spans can tag op.end events with it.
+        #: Table-I ``(cache_op, comm, commit)`` classification of the
+        #: current/most recent op; spans tag op.end events with it.
         self.last_class: Optional[Tuple[str, str, str]] = None
         #: Ablation switch: emulate the traditional layer-by-layer
         #: permission check *inside the distributed cache* (one KV get per
@@ -117,12 +115,9 @@ class PaconClient:
         self.redirects = 0
 
     # ------------------------------------------------------------------ utils
-    def _note(self, op: str, cache_op: str, comm: str, commit: str) -> None:
+    def _note(self, cache_op: str, comm: str, commit: str) -> None:
         self.ops += 1
         self.last_class = (cache_op, comm, commit)
-        if self.trace:
-            self.last_trace = {"op": op, "cache_op": cache_op,
-                               "comm": comm, "commit": commit}
 
     def _spanned(self, op: str, path: str,
                  inner: Generator[Event, Any, Any],
@@ -394,7 +389,7 @@ class PaconClient:
         target = self._route(path)
         if target is None:
             self.redirects += 1
-            self._note(op, "none", "sync", "none")
+            self._note("none", "sync", "none")
             dfs_op = self.dfs_client.mkdir if op == "mkdir" \
                 else self.dfs_client.create
             inode = yield from dfs_op(path, **({} if mode is None
@@ -445,7 +440,7 @@ class PaconClient:
         yield from self._publish(op, path, mode, gen_ino=record["ino"])
         if ftype is FileType.DIRECTORY:
             self._parent_memo.add(path)
-        self._note(op, "put", "async", "indep")
+        self._note("put", "async", "indep")
         return Inode.from_record(record)
 
     @_traced
@@ -455,7 +450,7 @@ class PaconClient:
         target = self._route(path)
         if target is None:
             self.redirects += 1
-            self._note("rm", "none", "sync", "none")
+            self._note("none", "sync", "none")
             yield from self.dfs_client.unlink(path)
             return
         if target is not self.region:
@@ -497,7 +492,7 @@ class PaconClient:
             self.cache_hits += 1
             gen_ino = updated["ino"]
         yield from self._publish("rm", path, 0, gen_ino=gen_ino)
-        self._note("rm", "update+delete", "async", "indep")
+        self._note("update+delete", "async", "indep")
 
     unlink = rm
 
@@ -508,7 +503,7 @@ class PaconClient:
         target = self._route(path)
         if target is None:
             self.redirects += 1
-            self._note("getattr", "none", "sync", "none")
+            self._note("none", "sync", "none")
             inode = yield from self.dfs_client.getattr(path)
             return inode
         yield from self._charge_client_cpu()
@@ -520,7 +515,7 @@ class PaconClient:
                 raise FileNotFound(path)
             self._observe_read("shared", "getattr", path, record,
                                region=target)
-            self._note("getattr", "get", "none", "none")
+            self._note("get", "none", "none")
             return Inode.from_record(record)
         self.cache_misses += 1
         # Miss: synchronously load from the DFS into the cache (Table I:
@@ -530,7 +525,7 @@ class PaconClient:
         if target is self.region:
             record = new_record(inode.to_record(), committed=True)
             yield from self._cache_fill(path, record)
-        self._note("getattr", "get", "sync(miss)", "indep(miss)")
+        self._note("get", "sync(miss)", "indep(miss)")
         return inode
 
     stat = getattr
@@ -554,7 +549,7 @@ class PaconClient:
         target = self._route(path)
         if target is None:
             self.redirects += 1
-            self._note("readdir", "none", "sync", "none")
+            self._note("none", "sync", "none")
             names = yield from self.dfs_client.readdir(path)
             return names
         yield from self._charge_client_cpu()
@@ -564,7 +559,7 @@ class PaconClient:
         yield done
         self._stage_end(barrier_ctx)
         names = yield from self.dfs_client.readdir(path)
-        self._note("readdir", "none", "sync", "barrier")
+        self._note("none", "sync", "barrier")
         return names
 
     # --------------------------------------------------- dependent operations
@@ -575,7 +570,7 @@ class PaconClient:
         target = self._route(path)
         if target is None:
             self.redirects += 1
-            self._note("rmdir", "none", "sync", "none")
+            self._note("none", "sync", "none")
             removed = yield from self.dfs_client.rmdir(path, recursive=True)
             return removed
         if target is not self.region:
@@ -596,7 +591,7 @@ class PaconClient:
                              if not (p == path or p.startswith(path + "/"))}
         # Clean related metadata from the distributed cache (§III.D.1).
         yield from self.region.cache.delete_subtree(self.node, path)
-        self._note("rmdir", "delete", "sync", "barrier")
+        self._note("delete", "sync", "barrier")
         return removed
 
     # ------------------------------------------------- extension operations
@@ -616,7 +611,7 @@ class PaconClient:
         dst_target = self._route(dst)
         if src_target is None and dst_target is None:
             self.redirects += 1
-            self._note("rename", "none", "sync", "none")
+            self._note("none", "sync", "none")
             yield from self.dfs_client.rename(src, dst)
             return
         if src_target is not self.region or dst_target is not self.region:
@@ -636,7 +631,7 @@ class PaconClient:
         yield from self.region.cache.delete(self.node, dst)
         self._parent_memo = {p for p in self._parent_memo
                              if not (p == src or p.startswith(src + "/"))}
-        self._note("rename", "delete", "sync", "barrier")
+        self._note("delete", "sync", "barrier")
 
     @_traced
     def chmod(self, path: str, mode: int) -> Generator[Event, Any, None]:
@@ -651,7 +646,7 @@ class PaconClient:
         target = self._route(path)
         if target is None:
             self.redirects += 1
-            self._note("chmod", "none", "sync", "none")
+            self._note("none", "sync", "none")
             yield from self.dfs_client.setattr(path, mode=mode)
             return
         if target is not self.region:
@@ -693,7 +688,7 @@ class PaconClient:
             path, PermissionSpec(mode=mode, uid=self.uid, gid=self.gid))
         if state["committed"]:
             yield from self.dfs_client.setattr(path, mode=mode)
-        self._note("chmod", "cas-update", "sync", "none")
+        self._note("cas-update", "sync", "none")
 
     # ------------------------------------------------------------- file data
     @_traced
@@ -711,7 +706,7 @@ class PaconClient:
         target = self._route(path)
         if target is None:
             self.redirects += 1
-            self._note("write", "none", "sync", "none")
+            self._note("none", "sync", "none")
             n = yield from self.dfs_client.write(path, offset, nbytes)
             return n
         if target is not self.region:
@@ -724,7 +719,7 @@ class PaconClient:
             # Not cached: a DFS-resident (large) file — pure redirect.
             self.cache_misses += 1
             n = yield from self.dfs_client.write(path, offset, nbytes)
-            self._note("write", "none", "sync", "none")
+            self._note("none", "sync", "none")
             return n
         self.cache_hits += 1
         record, _token = got
@@ -740,7 +735,7 @@ class PaconClient:
                 yield from self.region.cache.update(
                     self.node, path, lambda r: {**r, "size": max(r["size"],
                                                                  new_size)})
-            self._note("write", "update", "sync", "none")
+            self._note("update", "sync", "none")
             return nbytes
 
         if new_size <= self.config.small_file_threshold:
@@ -758,13 +753,13 @@ class PaconClient:
                 return rec
 
             yield from self.region.cache.update(self.node, path, apply)
-            self._note("write", "cas-update", "async", "indep")
+            self._note("cas-update", "async", "indep")
             return nbytes
 
         # Crossing the threshold: materialize on the DFS and stop inlining.
         yield from self._convert_to_large(path, record, offset, nbytes,
                                           new_size)
-        self._note("write", "update", "sync", "none")
+        self._note("update", "sync", "none")
         return nbytes
 
     def _convert_to_large(self, path: str, record: Dict, offset: int,
@@ -803,7 +798,7 @@ class PaconClient:
         target = self._route(path)
         if target is None:
             self.redirects += 1
-            self._note("read", "none", "sync", "none")
+            self._note("none", "sync", "none")
             n = yield from self.dfs_client.read(path, offset, size)
             return b"\x00" * n
         yield from self._charge_client_cpu()
@@ -813,7 +808,7 @@ class PaconClient:
             self.cache_misses += 1
             n = yield from self.dfs_client.read(path, offset, size)
             self._observe_read("mds", "read", path, region=target)
-            self._note("read", "none", "sync", "none")
+            self._note("none", "sync", "none")
             return b"\x00" * n
         self.cache_hits += 1
         if record.get("deleted"):
@@ -823,11 +818,11 @@ class PaconClient:
         self._observe_read("shared", "read", path, record, region=target)
         if record.get("large"):
             n = yield from self.dfs_client.read(path, offset, size)
-            self._note("read", "get", "sync", "none")
+            self._note("get", "sync", "none")
             return b"\x00" * n
         # Small file: metadata + data in the single KV get above (§III.D.2).
         data = record.get("inline_data") or b""
-        self._note("read", "get", "none", "none")
+        self._note("get", "none", "none")
         return data[offset:offset + size]
 
     @_traced
@@ -842,7 +837,7 @@ class PaconClient:
         path = normalize_path(path)
         target = self._route(path)
         if target is None or target is not self.region:
-            self._note("fsync", "none", "sync", "none")
+            self._note("none", "sync", "none")
             return  # DFS writes in this model are already durable
         yield from self._charge_client_cpu()
         got = yield from self.region.cache.gets(self.node, path)
@@ -855,7 +850,7 @@ class PaconClient:
             return
         if record.get("committed"):
             yield from self.dfs_client.write(path, 0, record["size"])
-            self._note("fsync", "get", "sync", "none")
+            self._note("get", "sync", "none")
             return
         # Not on the DFS yet: park the bytes in a per-region cache file.
         # The name must come from a process-invariant hash: the built-in
@@ -885,7 +880,7 @@ class PaconClient:
                                                       set_shadow)
         if updated is None and state["committed_meanwhile"]:
             yield from self.dfs_client.write(path, 0, record["size"])
-        self._note("fsync", "cas-update", "sync", "none")
+        self._note("cas-update", "sync", "none")
 
 
 class AggregateClient(PaconClient):
@@ -909,14 +904,13 @@ class AggregateClient(PaconClient):
     scenario).
     """
 
-    def __init__(self, region: ConsistentRegion, node, multiplier: int,
-                 trace: bool = False):
+    def __init__(self, region: ConsistentRegion, node, multiplier: int):
         if multiplier < 1:
             raise ValueError(f"multiplier must be >= 1, got {multiplier}")
-        super().__init__(region, node, trace=trace)
+        super().__init__(region, node)
         self.multiplier = multiplier
 
-    def _note(self, op: str, cache_op: str, comm: str, commit: str) -> None:
-        super()._note(op, cache_op, comm, commit)
+    def _note(self, cache_op: str, comm: str, commit: str) -> None:
+        super()._note(cache_op, comm, commit)
         # One physical op stands for ``multiplier`` logical ops.
         self.ops += self.multiplier - 1

@@ -35,7 +35,7 @@ class FailureReport:
 
     node_name: str
     region_name: str
-    lost_cache_entries: int
+    lost_cache: int
     lost_queued_ops: int
 
 
@@ -75,7 +75,7 @@ def fail_node(region, node) -> FailureReport:
     return FailureReport(
         node_name=node.name,
         region_name=region.name,
-        lost_cache_entries=lost_cache,
+        lost_cache=lost_cache,
         lost_queued_ops=lost_ops,
     )
 

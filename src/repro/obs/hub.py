@@ -23,7 +23,8 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.sampler import GaugeSampler
-from repro.obs.timeline import NULL_TIMELINE, Timeline, control_metrics
+from repro.obs.timeline import (NULL_TIMELINE, ControlEvent, Timeline,
+                                control_metrics)
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import NULL_TRACER, Tracer
 
@@ -126,14 +127,15 @@ class MetricsHub:
 
     def control(self, time: float, source: str, kind: str, label: str,
                 detail: str = "", duration: float = 0.0,
-                ref: int = -1) -> int:
-        """Record one control-plane event; returns its timeline ``seq``.
+                ref: int = -1) -> ControlEvent:
+        """Record one control-plane event and return it.
 
         Appends the :class:`~repro.obs.timeline.Timeline` event and
         feeds the counters and sketch its kind names in
         :data:`~repro.obs.timeline.CONTROL_METRICS`.  An event closing
         an earlier one (``ref``) observes the time since that event,
-        every other event its own ``duration``.
+        every other event its own ``duration``.  An event the log drops
+        at capacity comes back with ``seq = -1``.
         """
         counters, sketch = control_metrics(kind, label, detail)
         for name in counters:
@@ -491,8 +493,9 @@ class _NullHub(MetricsHub):
     def count(self, *a, **kw) -> None:  # pragma: no cover - trivial
         return
 
-    def control(self, *a, **kw) -> int:  # pragma: no cover - trivial
-        return -1
+    def control(self, *a, **kw) -> ControlEvent:
+        # Allocates the event for its caller but stores nothing.
+        return NULL_TIMELINE.record(*a, **kw)
 
     def record_sample(self, *a, **kw) -> None:  # pragma: no cover
         return

@@ -117,6 +117,18 @@ def _series_points(doc: Dict[str, Any], prefix: str,
     return out
 
 
+def _aggregate(pts: List[Tuple[float, float]], mode: str) -> float:
+    """Reduce window points with ``mode``: ``max`` (worst excursion),
+    ``final`` (last sample) or ``mean``; 0.0 for no points."""
+    if not pts:
+        return 0.0
+    if mode == "final":
+        return pts[-1][1]
+    if mode == "mean":
+        return sum(v for _, v in pts) / len(pts)
+    return max(v for _, v in pts)
+
+
 @dataclass(frozen=True)
 class LatencyObjective:
     """``histograms[metric][percentile] <= target`` (whole-run only)."""
@@ -173,10 +185,7 @@ class StalenessObjective:
             detail = "" if age.get("count") else "no samples"
         else:
             pts = _series_points(doc, "consistency.pending_age", window)
-            if self.mode == "final":
-                measured = pts[-1][1] if pts else 0.0
-            else:
-                measured = max((v for _, v in pts), default=0.0)
+            measured = _aggregate(pts, self.mode)
             metric = f"consistency.pending_age.{self.mode}"
             detail = "" if pts else "no samples in window"
         return Verdict(self.name, self.kind, metric, measured, self.bound,
@@ -278,12 +287,7 @@ class SeriesThresholdObjective:
             return Verdict(self.name, self.kind,
                            f"{self.series}.{self.mode}", 0.0, self.bound,
                            True, "no samples")
-        if self.mode == "final":
-            measured = pts[-1][1]
-        elif self.mode == "mean":
-            measured = sum(v for _, v in pts) / len(pts)
-        else:
-            measured = max(v for _, v in pts)
+        measured = _aggregate(pts, self.mode)
         return Verdict(self.name, self.kind,
                        f"{self.series}.{self.mode}", measured, self.bound,
                        measured <= self.bound)

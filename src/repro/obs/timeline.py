@@ -4,18 +4,19 @@ Pacon's partial-consistency design makes *explaining* a degradation
 window as important as detecting it: a staleness or backlog breach is
 almost always downstream of some control-plane action — a chaos fault,
 an autoscale grow/retire (or its failure), a membership change, a
-backpressure stall.  Those layers each kept private records
-(``FaultRecord``, ``AutoscaleAction``, ``membership_log``) and disjoint
-``chaos.*``/``autoscale.*`` counters; nothing lined them up on one time
-axis.
+backpressure stall.
 
 A :class:`Timeline` is that axis: an append-only, capacity-bounded log
 of :class:`ControlEvent` records fed by the chaos engine, the
-autoscaler, region membership, and the client publish path.  The
-disabled hub discards every event and never allocates a Timeline (it
-holds the shared :data:`NULL_TIMELINE`), so the zero-cost-when-off
-guarantee of the rest of ``repro.obs`` holds here too (the tests prove
-it by monkeypatching allocation to raise).
+autoscaler, region membership, and the client publish path.
+:class:`ControlEvent` is the only record type for these facts: the
+chaos engine keeps the (injected, recovered) event pairs it recorded and
+the autoscaler its ``scale.*`` events, whether or not a hub stores them.
+The disabled hub still hands back each event, with ``seq = -1``, but
+stores nothing and never allocates a Timeline (it holds the shared
+:data:`NULL_TIMELINE`), so the zero-cost-when-off guarantee of the rest
+of ``repro.obs`` holds here too (the tests prove it by monkeypatching
+allocation to raise).
 
 Events are recorded *when their outcome is known* but stamped with
 their *start* time (a scale-up is recorded after the migration lands,
@@ -141,17 +142,18 @@ class Timeline:
     # -- recording (through MetricsHub.control) ----------------------------
     def record(self, time: float, source: str, kind: str, label: str,
                detail: str = "", duration: float = 0.0,
-               ref: int = -1) -> int:
-        """Append one event; returns its ``seq`` (for pairing), -1 if
-        dropped at capacity."""
+               ref: int = -1) -> ControlEvent:
+        """Append one event and return it; an event dropped at capacity
+        is returned unstored, with ``seq = -1``."""
         if len(self._events) >= self.capacity:
             self.dropped += 1
-            return -1
+            return ControlEvent(-1, time, source, kind, label, detail,
+                                duration, ref)
         self._next_seq += 1
-        self._events.append(ControlEvent(
-            seq=self._next_seq, time=time, source=source, kind=kind,
-            label=label, detail=detail, duration=duration, ref=ref))
-        return self._next_seq
+        event = ControlEvent(self._next_seq, time, source, kind, label,
+                             detail, duration, ref)
+        self._events.append(event)
+        return event
 
     # -- queries -----------------------------------------------------------
     def time_of(self, seq: int) -> Optional[float]:
@@ -186,13 +188,17 @@ class Timeline:
 
 
 class _NullTimeline(Timeline):
-    """Shared disabled timeline; ``record`` discards everything."""
+    """Shared disabled timeline; ``record`` stores nothing and returns
+    the event with ``seq = -1``."""
 
     def __init__(self):
         super().__init__(capacity=0)
 
-    def record(self, *a, **kw) -> int:  # pragma: no cover - trivial
-        return -1
+    def record(self, time: float, source: str, kind: str, label: str,
+               detail: str = "", duration: float = 0.0,
+               ref: int = -1) -> ControlEvent:
+        return ControlEvent(-1, time, source, kind, label, detail,
+                            duration, ref)
 
 
 NULL_TIMELINE = _NullTimeline()

@@ -8,7 +8,9 @@ regression check.
 """
 
 import copy
+import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,7 +41,7 @@ from repro.obs.schema import validate_bench
 EXPECTED_EXPERIMENTS = {
     "fig01", "fig02", "table1", "fig07", "fig08", "fig09", "fig10",
     "fig11", "fig12", "latency", "sensitivity", "staleness",
-    "chaos", "elastic", "ablA", "ablB", "ablC", "ablD", "ablE",
+    "chaos", "elastic", "kernel", "ablA", "ablB", "ablC", "ablD", "ablE",
 }
 
 
@@ -246,6 +248,38 @@ class TestCompare:
             snapshot_pair[0], doc, ignore_host=True,
             tolerances={"staleness.rows[0].stale_p99": 0.0})
         assert not comp.ok
+
+
+class TestKernelHostMetrics:
+    """Kernel host metrics are host ns per processed event: a slower
+    kernel is a larger number, so ``compare`` reads them like every
+    other host metric."""
+
+    @staticmethod
+    def _snapshot(monkeypatch, seconds_per_round: float):
+        from repro.bench import kernel
+
+        ticks = itertools.count()
+        monkeypatch.setattr(kernel, "time", SimpleNamespace(
+            perf_counter=lambda: next(ticks) * seconds_per_round))
+        result = kernel.run("smoke", rounds=1)
+        return build_snapshot([result], label=f"{seconds_per_round:g}",
+                              scale="smoke", seed=DEFAULT_SEED)
+
+    def test_slower_kernel_flagged_faster_accepted(self, monkeypatch):
+        base = self._snapshot(monkeypatch, 1e-3)
+        slower = self._snapshot(monkeypatch, 3e-3)
+        faster = self._snapshot(monkeypatch, 0.5e-3)
+        assert base["experiments"]["kernel"]["host"][
+            "ns_per_event_max"] == pytest.approx(1e-3 / 442 * 1e9, abs=0.1)
+        flagged = {d.metric for d in compare_snapshots(base, slower)
+                   .regressions}
+        assert "kernel.host.ns_per_event_max" in flagged
+        assert {f"kernel.host.{name}_ns_per_event"
+                for name in ("timeout_storm", "resource_churn",
+                             "interrupt_storm", "condition_fanin")} \
+            <= flagged
+        assert compare_snapshots(base, faster).ok
 
 
 class TestHistory:

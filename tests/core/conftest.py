@@ -31,9 +31,8 @@ class World:
     def quiesce(self):
         self.deployment.quiesce_sync(self.region)
 
-    def new_client(self, node_index: int = 0, trace: bool = False):
-        return self.deployment.client(self.region, self.nodes[node_index],
-                                      trace=trace)
+    def new_client(self, node_index: int = 0):
+        return self.deployment.client(self.region, self.nodes[node_index])
 
 
 def make_world(workspace: str = "/app", n_nodes: int = 4,
@@ -46,7 +45,7 @@ def make_world(workspace: str = "/app", n_nodes: int = 4,
     if config is None:
         config = PaconConfig(workspace=workspace)
     region = deployment.create_region(config, nodes)
-    client = deployment.client(region, nodes[0], trace=True)
+    client = deployment.client(region, nodes[0])
     return World(cluster=cluster, dfs=dfs, deployment=deployment,
                  region=region, nodes=nodes, client=client)
 

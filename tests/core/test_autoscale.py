@@ -55,7 +55,8 @@ class TestScalingLoop:
         assert w.region.nodes == w.nodes
         # Cooldown: successful actions are spaced at least a cooldown
         # apart.
-        times = [a.time for a in scaler.actions if a.ok]
+        times = [ev.time for ev in scaler.events
+                 if ev.kind in ("scale.grow", "scale.retire")]
         cooldown = w.region.config.autoscale_cooldown
         assert all(b - a >= cooldown for a, b in zip(times, times[1:]))
         scaler.stop()
@@ -131,9 +132,8 @@ class TestBurnRateTrigger:
             hub.record_sample(series_name, i * 1e-3, 500e-6)
         env.run(until=0.02)
         assert scaler.scale_ups >= 1
-        grow = next(a for a in scaler.actions if a.kind == "grow")
-        assert grow.reason == "burn_rate"
-        assert grow.ok
+        grow = next(ev for ev in scaler.events if ev.kind == "scale.grow")
+        assert "reason=burn_rate" in grow.detail.split()
         scaler.stop()
 
 
@@ -151,8 +151,7 @@ class TestChaosComposition:
         w.run(scaler._scale_up("util"))
         assert scaler.scale_ups == 1
         assert scaler.failed == 0
-        action = scaler.actions[-1]
-        assert action.ok and action.kind == "grow"
+        assert scaler.events[-1].kind == "scale.grow"
         assert len(w.region.nodes) == 4
         recover_node(w.region, w.nodes[1])
         w.quiesce()
@@ -173,10 +172,11 @@ class TestChaosComposition:
                             node_factory=lambda: doomed)
         w.run(scaler._scale_up("util"))
         assert scaler.failed == 1
-        action = scaler.actions[-1]
-        assert action.error
-        assert action.ok  # it joined before the crash, so it is kept
-        assert action.moved == 0
+        event = scaler.events[-1]
+        assert event.kind == "scale.failed" and "error=" in event.detail
+        # It joined before the crash, so it is kept: a scale-up too.
+        assert scaler.scale_ups == 1
+        assert scaler.migrated == 0
         assert doomed in w.region.nodes
         # Standard crash recovery brings the member online and the
         # region converges end to end.
@@ -245,3 +245,32 @@ class TestChaosComposition:
         assert scaler._retire_candidate() is added
         added.fail()
         assert scaler._retire_candidate() is None
+
+    def test_counts_equal_exported_counters(self):
+        """The controller's counts and the exported ``autoscale.*``
+        counters come from one table over the same events, including a
+        failed grow whose node joined anyway (a failure and a scale-up)
+        and a failed retire (a failure only)."""
+        from repro.obs.hub import MetricsHub
+
+        w = make_world(n_nodes=2, config=_elastic_config())
+        hub = MetricsHub(sample_interval=None)
+        hub.attach_region(w.region)
+        scaler = Autoscaler(w.deployment, w.region)
+        w.run(scaler._scale_up("util"))
+        w.run(scaler._scale_down(scaler._added[-1], "idle"))
+        scaler._reject("grow", "max_nodes=4 reached")
+        doomed = w.cluster.add_node("doomed")
+        doomed.fail()
+        scaler.node_factory = lambda: doomed
+        w.run(scaler._scale_up("util"))
+        w.run(scaler._scale_down(w.cluster.add_node("outsider"), "idle"))
+        counters = hub.export()["counters"]
+        assert (scaler.scale_ups, scaler.scale_downs, scaler.failed,
+                scaler.rejected) == (2, 1, 2, 1)
+        assert scaler.scale_ups == counters["autoscale.scale_up"]
+        assert scaler.scale_downs == counters["autoscale.scale_down"]
+        assert scaler.failed == counters["autoscale.action_failed"]
+        assert scaler.rejected == counters["autoscale.rejected"]
+        assert scaler.events == [ev for ev in hub.timeline.events()
+                                 if ev.source == "autoscale"]

@@ -124,9 +124,45 @@ class TestChaosEngine:
         assert counters["chaos.injected"] == 1
         assert counters["chaos.recovered"] == 1
         assert counters["chaos.fault.mds_crash"] == 1
-        assert len(engine.records) == 1
-        rec = engine.records[0]
-        assert rec.recovered_at - rec.injected_at == pytest.approx(2e-3)
+        ((injected, recovered),) = engine.events
+        assert recovered.time - injected.time == pytest.approx(2e-3)
+        assert recovered.ref == injected.seq > 0
+
+    def test_hub_off_engine_keeps_event_pairs(self, world):
+        """Without a hub the engine still keeps each fault's event pair
+        (unstored, ``seq == -1``), with the node-crash loss counts in the
+        recovery detail; the shared null timeline stays empty."""
+        from repro.obs.hub import NULL_HUB
+        from repro.obs.timeline import NULL_TIMELINE
+
+        assert world.region.hub is NULL_HUB
+        for i in range(6):
+            world.run(world.client.create(f"/app/f{i}"))
+        schedule = (ChaosSchedule()
+                    .add("node_crash", at=1e-3, duration=2e-3, target=0)
+                    .add("mds_crash", at=2e-3, duration=3e-3))
+        engine = ChaosEngine(world.deployment, world.region, schedule)
+        engine.start()
+        t0 = world.cluster.env.now
+        world.run(engine.wait_done(), label="chaos-wait")
+        pairs = {injected.label: (injected, recovered)
+                 for injected, recovered in engine.events}
+        assert sorted(pairs) == ["mds_crash[0]", "node_crash[0]"]
+        for fault in schedule.faults:
+            injected, recovered = pairs[f"{fault.kind}[{fault.target}]"]
+            assert injected.kind == "fault.injected"
+            assert recovered.kind == "fault.recovered"
+            assert injected.time == pytest.approx(t0 + fault.at)
+            assert recovered.time == pytest.approx(
+                t0 + fault.at + fault.duration)
+            assert injected.seq == recovered.seq == recovered.ref == -1
+        words = pairs["node_crash[0]"][1].detail.split()
+        assert words[0] == world.nodes[0].name
+        assert words[1] == f"lost_ops={engine.lost_ops}"
+        assert words[2].startswith("lost_cache=")
+        assert int(words[2].split("=")[1]) > 0
+        assert len(NULL_TIMELINE) == 0
+        assert NULL_TIMELINE.export()["events"] == []
 
 
 # -------------------------------------------------------------- satellites

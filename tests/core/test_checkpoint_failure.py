@@ -83,7 +83,7 @@ class TestNodeFailure:
         victim = world.nodes[1]
         report = fail_node(world.region, victim)
         assert report.node_name == victim.name
-        assert report.lost_cache_entries > 0
+        assert report.lost_cache > 0
         assert not victim.alive
 
     def test_failure_isolated_to_one_region(self):

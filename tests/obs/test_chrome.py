@@ -71,7 +71,8 @@ class TestControlPlaneTracks:
     def test_timeline_renders_on_control_plane_process(self):
         world = _drive(make_observed_world())
         tl = world.hub.timeline
-        seq = tl.record(0.001, "chaos", "fault.injected", "mds_crash[0]")
+        seq = tl.record(0.001, "chaos", "fault.injected",
+                        "mds_crash[0]").seq
         tl.record(0.003, "chaos", "fault.recovered", "mds_crash[0]",
                   ref=seq)
         tl.record(0.002, "autoscale", "scale.grow", "grow[node2]")

@@ -14,9 +14,10 @@ from tests.core.conftest import make_world
 class TestTimeline:
     def test_record_returns_monotonic_seq(self):
         tl = Timeline()
-        seq_a = tl.record(0.1, "chaos", "fault.injected", "mds_crash[0]")
+        seq_a = tl.record(0.1, "chaos", "fault.injected",
+                          "mds_crash[0]").seq
         seq_b = tl.record(0.2, "chaos", "fault.recovered", "mds_crash[0]",
-                          ref=seq_a)
+                          ref=seq_a).seq
         assert seq_b > seq_a > 0
         assert len(tl) == 2
 
@@ -32,34 +33,36 @@ class TestTimeline:
 
     def test_export_shape_and_event_fields(self):
         tl = Timeline()
-        seq = tl.record(0.1, "chaos", "fault.injected", "partition[0]",
-                        detail="cut#1")
+        event = tl.record(0.1, "chaos", "fault.injected", "partition[0]",
+                          detail="cut#1")
         doc = tl.export()
         assert doc["count"] == 1
         assert doc["dropped"] == 0
         (ev,) = doc["events"]
-        assert ev == {"seq": seq, "t": 0.1, "source": "chaos",
+        assert ev == event.to_doc()
+        assert ev == {"seq": event.seq, "t": 0.1, "source": "chaos",
                       "kind": "fault.injected", "label": "partition[0]",
                       "detail": "cut#1", "duration": 0.0, "ref": -1}
 
     def test_capacity_drops_and_counts(self):
         tl = Timeline(capacity=2)
-        assert tl.record(0.1, "chaos", "fault.injected", "a") > 0
-        assert tl.record(0.2, "chaos", "fault.injected", "b") > 0
-        assert tl.record(0.3, "chaos", "fault.injected", "c") == -1
+        assert tl.record(0.1, "chaos", "fault.injected", "a").seq > 0
+        assert tl.record(0.2, "chaos", "fault.injected", "b").seq > 0
+        dropped = tl.record(0.3, "chaos", "fault.injected", "c")
+        assert dropped.seq == -1 and dropped.label == "c"
         assert len(tl) == 2
         assert tl.dropped == 1
         assert tl.export()["dropped"] == 1
 
     def test_clear_keeps_seq_monotonic(self):
         tl = Timeline()
-        first = tl.record(0.1, "chaos", "fault.injected", "a")
+        first = tl.record(0.1, "chaos", "fault.injected", "a").seq
         tl.clear()
         assert len(tl) == 0
         assert tl.export()["events"] == []
         # seq keeps climbing across clear: pairs recorded before a clear
         # can never alias pairs recorded after it.
-        assert tl.record(0.2, "chaos", "fault.injected", "b") > first
+        assert tl.record(0.2, "chaos", "fault.injected", "b").seq > first
 
     def test_control_event_is_immutable(self):
         ev = ControlEvent(seq=1, time=0.1, source="chaos",
@@ -70,8 +73,9 @@ class TestTimeline:
 
 class TestNullTimeline:
     def test_record_is_a_discarding_noop(self):
-        assert NULL_TIMELINE.record(0.1, "chaos", "fault.injected",
-                                    "x") == -1
+        event = NULL_TIMELINE.record(0.1, "chaos", "fault.injected", "x")
+        assert event == ControlEvent(seq=-1, time=0.1, source="chaos",
+                                     kind="fault.injected", label="x")
         assert len(NULL_TIMELINE) == 0
         assert NULL_TIMELINE.events() == []
         assert NULL_TIMELINE.export() == {"count": 0, "dropped": 0,
