@@ -56,9 +56,9 @@ def _traced(fn):
     default ``NULL_TRACER``/``NULL_HUB`` pair), the original generator is
     returned untouched — the fast path costs two attribute reads and no
     simulated time.  Otherwise the generator is driven through
-    :meth:`PaconClient._spanned`, which emits paired ``op.start``/
-    ``op.end`` events (closing the span even when the op raises) and feeds
-    the per-op-type latency histogram.
+    :meth:`PaconClient._spanned`, which opens the op's root span and
+    closes it even when the op raises, and feeds the per-op-type latency
+    histogram.
     """
     op = fn.__name__
 
@@ -95,7 +95,7 @@ class PaconClient:
         # and for Pacon's own synchronous DFS calls.
         self.dfs_client = region.dfs.client(node, uid=self.uid, gid=self.gid)
         #: Table-I ``(cache_op, comm, commit)`` classification of the
-        #: current/most recent op; spans tag op.end events with it.
+        #: current/most recent op; root spans tag their close with it.
         self.last_class: Optional[Tuple[str, str, str]] = None
         #: Ablation switch: emulate the traditional layer-by-layer
         #: permission check *inside the distributed cache* (one KV get per
@@ -122,27 +122,24 @@ class PaconClient:
     def _spanned(self, op: str, path: str,
                  inner: Generator[Event, Any, Any],
                  ) -> Generator[Event, Any, Any]:
-        """Drive ``inner`` inside an op.start/op.end span (see _traced).
+        """Drive ``inner`` inside the op's root span (see _traced).
 
-        When the tracer is on, a root :class:`SpanContext` is pushed onto
-        the driving DES process for the duration of the op — child stages
-        (cache RPCs, network transfers, MDS requests) find it there and
-        emit their spans as children, forming the op's causal span tree.
+        When the tracer is on, the root :class:`~repro.sim.trace.Span` is
+        pushed onto the driving DES process for the duration of the op —
+        child stages (cache RPCs, network transfers, MDS requests) find it
+        there and open their spans under it, forming the op's causal span
+        tree.
         """
         tracer = self.region.tracer
         hub = self.region.hub
-        actor = self.actor_name
         ctx = proc = None
-        op_id = None
         t0 = self.env.now
         self.last_class = None
         if tracer.enabled:
             ctx = tracer.root_context()
-            op_id = ctx.op_id
             proc = self.env.active_process
             tracer.push_context(proc, ctx)
-            tracer.emit(t0, actor, "op.start", f"{op} {path}", op_id,
-                        span_id=ctx.span_id)
+            tracer.span_start(t0, self.actor_name, ctx, "op", f"{op} {path}")
         outcome = "ok"
         try:
             result = yield from inner
@@ -159,8 +156,7 @@ class PaconClient:
                     cache_op, comm, commit = self.last_class
                     detail += (f" cache={cache_op} comm={comm}"
                                f" commit={commit}")
-                tracer.emit(t1, actor, "op.end", detail, op_id,
-                            span_id=ctx.span_id)
+                tracer.span_end(t1, ctx, detail)
             if hub.enabled:
                 hub.observe_op(op, t1 - t0, ok=outcome == "ok",
                                weight=self.multiplier)
@@ -179,7 +175,7 @@ class PaconClient:
 
     def _stage_end(self, ctx) -> None:
         if ctx is not None:
-            self.region.tracer.span_end(self.env.now, self.actor_name, ctx)
+            self.region.tracer.span_end(self.env.now, ctx)
 
     def _provisional_ino(self) -> int:
         return self.region.alloc_provisional_ino()
@@ -270,12 +266,10 @@ class PaconClient:
                 # attribution bucket — the async commit is off the client
                 # critical path by design (that is the paper's claim) —
                 # but it shows queue+commit time in the tree/Chrome views.
-                cctx = tracer.child_context(parent)
+                msg.span = tracer.child_context(parent)
                 tracer.span_start(self.env.now,
-                                  f"commitq:{self.region.name}", cctx,
+                                  f"commitq:{self.region.name}", msg.span,
                                   "commit_queue", f"{op} {path}")
-                msg.op_id = cctx.op_id
-                msg.span_id = cctx.span_id
         queue.publish(msg)
         self.region.ops_submitted += 1
         if self.region.hub.enabled:

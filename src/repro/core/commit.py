@@ -43,6 +43,7 @@ from repro.dfs.namespace import parent_of
 from repro.mq.queue import QueueClosed
 from repro.sim.core import Event, cancel_wait
 from repro.sim.network import NodeDownError
+from repro.sim.trace import Span
 
 __all__ = ["OpMessage", "BarrierMessage", "CommitProcess", "CommitStalled"]
 
@@ -79,16 +80,20 @@ class OpMessage:
     #: generation, or a late rm commit would delete the *new* file's
     #: record (and a late create commit would mark it committed).
     gen_ino: int = -1
-    #: Span-context ids carried across the queue (observability only).
-    #: The client opens a ``commit_queue`` span at publish; the commit
-    #: process closes it at commit/discard/coalesce and parents its own
-    #: DFS/MDS spans under it.  -1 when tracing is off.
-    op_id: int = -1
-    span_id: int = -1
+    #: The ``commit_queue`` span carried across the queue (observability
+    #: only): the client opens it at publish; the commit process closes
+    #: it at commit/discard/coalesce and parents its own DFS/MDS spans
+    #: under it.  None when tracing is off.
+    span: Optional[Span] = None
     #: Logical operations this message stands for (the publishing
     #: client's ``multiplier``); consistency metrics weight by it so
     #: aggregate and faithful runs agree at matched logical scale.
     weight: int = 1
+
+    @property
+    def op_id(self) -> Optional[int]:
+        """The traced op's id (tags commit/discard events); None if off."""
+        return None if self.span is None else self.span.op_id
 
     def __post_init__(self) -> None:
         if self.op not in INDEPENDENT_OPS:
@@ -542,10 +547,10 @@ class CommitProcess:
                         mode: int) -> Generator[Event, Any, None]:
         tracer = self.region.tracer
         ctx = proc = None
-        if tracer.enabled and op.span_id >= 0:
-            # Adopt the op's commit_queue span so the DFS/MDS spans this
+        if tracer.enabled and op.span is not None:
+            # Push the op's commit_queue span so the DFS/MDS spans this
             # attempt generates nest under it in the op's span tree.
-            ctx = tracer.adopt_context(op.op_id, op.span_id)
+            ctx = op.span
             proc = self.env.active_process
             tracer.push_context(proc, ctx)
         try:
@@ -613,10 +618,8 @@ class CommitProcess:
 
     def _close_queue_span(self, op: OpMessage) -> None:
         """Close the op's commit_queue span (opened at client publish)."""
-        tracer = self.region.tracer
-        if tracer.enabled and op.span_id >= 0:
-            ctx = tracer.adopt_context(op.op_id, op.span_id)
-            tracer.span_end(self.env.now, f"commitq:{self.region.name}", ctx)
+        if op.span is not None:
+            self.region.tracer.span_end(self.env.now, op.span)
 
     def _commit_success(self, op: OpMessage,
                         mode: int) -> Generator[Event, Any, None]:
@@ -625,7 +628,7 @@ class CommitProcess:
         self._close_queue_span(op)
         self.region.tracer.emit(self.env.now, f"commit:{self.node.name}",
                                 "commit", f"{op.op} {op.path}",
-                                op_id=op.op_id if op.op_id >= 0 else None)
+                                op_id=op.op_id)
         hub = self.region.hub
         # From here a crash must not count the op as lost: it is on the DFS.
         self._resolve(op)
@@ -664,7 +667,7 @@ class CommitProcess:
         self.region.tracer.emit(self.env.now, f"commit:{self.node.name}",
                                 "discard",
                                 f"orphan {label}" if orphan else label,
-                                op_id=op.op_id if op.op_id >= 0 else None)
+                                op_id=op.op_id)
         if self.region.hub.enabled:
             self.region.hub.count("commit.discarded")
 

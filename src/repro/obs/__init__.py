@@ -4,10 +4,11 @@ The subsystem has five pieces:
 
 * per-operation **span trees** — :class:`repro.core.client.PaconClient`
   opens a root span per op and every downstream stage (cache shard,
-  network transfer, commit queue, MDS RPC) attaches a child span carrying
-  the parent's :class:`repro.sim.trace.SpanContext`, so each op
-  reassembles into a causal tree with a critical-path latency
-  attribution (see ``Tracer.span_tree`` / ``Tracer.attribution``),
+  network transfer, commit queue, MDS RPC) opens a child span under it;
+  each span is one :class:`repro.sim.trace.Span` record linked to its
+  parent as it opens, so each op's causal tree and its critical-path
+  latency attribution need no reassembly (see ``Tracer.span_tree`` /
+  ``Tracer.attribution``),
 * a :class:`MetricsHub` — the region-wide aggregation point for client,
   commit, cache, queue, and contention-resource statistics, exporting one
   stable-ordered ``pacon.metrics/v4`` JSON document,

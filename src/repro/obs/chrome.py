@@ -39,8 +39,8 @@ from repro.sim.trace import Span, Tracer
 
 __all__ = ["chrome_trace", "write_chrome_trace"]
 
-#: Event kinds already represented as spans or structural markers; every
-#: other tracer event kind is exported as an instant.
+#: Span event kinds: spans export from the trees, so a point event
+#: logged under one of these kinds is not an instant either.
 _NON_INSTANT_KINDS = ("op.start", "op.end", "span.start", "span.end")
 
 #: pid reserved for counter tracks (gauge series).
@@ -184,8 +184,9 @@ def chrome_trace(tracer: Tracer, hub: Optional[Any] = None,
     """
     events: List[Dict[str, Any]] = []
     trees = tracer.span_trees()
-    instants = [ev for ev in tracer.events(since=since, until=until)
-                if ev.kind not in _NON_INSTANT_KINDS]
+    instants = [ev for ev in tracer.point_events()
+                if since <= ev.time <= until
+                and ev.kind not in _NON_INSTANT_KINDS]
     actors: List[str] = [ev.actor for ev in instants]
     kept_roots = []
     for op_id in sorted(trees):

@@ -181,9 +181,14 @@ class MetricsHub:
         self._resource_names.add(label)
         self._resources.append((label, resource))
         if self.enabled:
-            resource._wait_observe = (
-                lambda waited, _n=label:
-                self.observe(f"resource.wait[{_n}]", waited))
+            def first_wait(waited: float) -> None:
+                # The sketch exists once a wait is queued; later waits
+                # go straight to its observe.
+                observe = self.stats.sketch(f"resource.wait[{label}]").observe
+                resource._wait_observe = observe
+                observe(waited)
+
+            resource._wait_observe = first_wait
         return label
 
     def attach_region(self, region, start_sampler: bool = True):

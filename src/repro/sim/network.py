@@ -223,7 +223,7 @@ class Network:
                     f"destination node {dst.name} died in flight")
         finally:
             if ctx is not None:
-                tracer.span_end(env.now, "net", ctx)
+                tracer.span_end(env.now, ctx)
 
 
 class Service:
@@ -235,8 +235,8 @@ class Service:
     handlers are delivered to the caller after the response hop (errors
     travel on the wire like any reply).
 
-    When the driving process carries a :class:`~repro.sim.trace.SpanContext`
-    the worker-pool wait and the handler execution each emit a child span,
+    When the driving process carries a :class:`~repro.sim.trace.Span`
+    the worker-pool wait and the handler execution each open a child span,
     tagged with the class's attribution categories below (subclasses that
     sit on a client critical path override these with real buckets).
     """
@@ -282,7 +282,7 @@ class Service:
             tracer.span_start(self.env.now, self.name, qctx,
                               self.span_queue_category, method)
             yield self.workers.acquire()
-            tracer.span_end(self.env.now, self.name, qctx)
+            tracer.span_end(self.env.now, qctx)
         else:
             yield self.workers.acquire()
         if not self.node.alive or self.node.incarnation != mark:
@@ -314,7 +314,7 @@ class Service:
         finally:
             self.workers.release()
             if sctx is not None:
-                tracer.span_end(self.env.now, self.name, sctx)
+                tracer.span_end(self.env.now, sctx)
         self.requests_served += 1
         self.requests_by_method[method] = (
             self.requests_by_method.get(method, 0) + 1)

@@ -13,22 +13,25 @@ default — nothing in the hot path touches it unless a tracer is installed
   so ``diff`` localizes a behavior change to the first divergent event.
 
 Beyond flat events, the tracer understands **causal spans**: every client
-operation opens a root span (``op.start``/``op.end``), and each child
-stage it exercises — cache KV service, network transfers, service worker
-queues, barrier rendezvous, commit-queue residency — emits a
-``span.start``/``span.end`` pair carrying a :class:`SpanContext`
-(``op_id``, ``span_id``, ``parent_id``).  :meth:`Tracer.span_tree`
-reassembles the tree for one op and :meth:`Tracer.attribution` walks the
-client critical path, bucketing the op's wall time into the
-:data:`ATTRIBUTION_BUCKETS` with an explicit residual.
+operation opens a root span, and each child stage it exercises — cache KV
+service, network transfers, service worker queues, barrier rendezvous,
+commit-queue residency — opens a child span under it.  Each span is one
+:class:`Span` record, also the context its children are made from, linked
+under its parent as it opens: the trees need no reassembly.  The log holds
+the records (at open and at close) among plain :class:`TraceEvent` point
+events, and :meth:`Tracer.events` derives the flat ``op.*``/``span.*``
+view from them.  :meth:`Tracer.attribution` walks the client critical
+path, bucketing the op's wall time into the :data:`ATTRIBUTION_BUCKETS`
+with an explicit residual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from itertools import islice
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["TraceEvent", "Tracer", "NULL_TRACER", "SpanContext", "Span",
+__all__ = ["TraceEvent", "Tracer", "NULL_TRACER", "Span",
            "ATTRIBUTION_BUCKETS"]
 
 #: Latency-attribution buckets for one client operation's wall time.
@@ -36,15 +39,6 @@ __all__ = ["TraceEvent", "Tracer", "NULL_TRACER", "SpanContext", "Span",
 #: I/O, ...) lands in the reported residual — never silently hidden.
 ATTRIBUTION_BUCKETS = ("cache", "network", "queue_wait", "barrier",
                        "publish_stall", "mds_service", "mds_queue")
-
-
-@dataclass(frozen=True)
-class SpanContext:
-    """Causal identity of one span: which op, which span, which parent."""
-
-    op_id: int
-    span_id: int
-    parent_id: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -65,28 +59,45 @@ class TraceEvent:
                 f" {self.kind:<12} {tag:<8} {self.detail}")
 
 
-@dataclass
 class Span:
-    """One reassembled span; ``end`` is None while the span is open."""
+    """One span: its causal identity and its node in the op's tree.
 
-    op_id: int
-    span_id: int
-    parent_id: Optional[int]
-    actor: str
-    category: str
-    name: str
-    start: float
-    end: Optional[float] = None
-    children: List["Span"] = field(default_factory=list)
+    :meth:`Tracer.span_start` fills it in and appends it to its parent's
+    ``children`` (a root has no ``parent``); :meth:`Tracer.span_end` sets
+    ``end`` (None while open) and the close ``detail``.  ``seq`` is the
+    absolute log position of the start, -1 until it is logged.
+    """
+
+    __slots__ = ("op_id", "span_id", "parent", "actor", "category", "name",
+                 "start", "end", "detail", "seq", "children")
+
+    def __init__(self, op_id: int, span_id: int,
+                 parent: Optional["Span"] = None):
+        self.op_id = op_id
+        self.span_id = span_id
+        self.parent = parent
+        self.actor = self.category = self.name = self.detail = ""
+        self.start = 0.0
+        self.end: Optional[float] = None
+        self.seq = -1
+        #: In start order; an empty tuple until the first child opens.
+        self.children: Any = ()
+
+    @property
+    def parent_id(self) -> Optional[int]:
+        return None if self.parent is None else self.parent.span_id
 
     @property
     def duration(self) -> Optional[float]:
         return None if self.end is None else self.end - self.start
 
     def walk(self) -> Iterator["Span"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """This span and its descendants, depth first in start order."""
+        stack = [self]
+        while stack:
+            span = stack.pop()
+            yield span
+            stack.extend(reversed(span.children))
 
     def render(self, indent: int = 0) -> str:
         dur = ("open" if self.end is None
@@ -97,92 +108,143 @@ class Span:
             lines.append(child.render(indent + 1))
         return "\n".join(lines)
 
+    def event(self, opening: bool) -> TraceEvent:
+        """The flat start (``opening``) or end event: ``op.*`` on a root."""
+        kind = "op" if self.parent is None else "span"
+        if not opening:
+            return TraceEvent(self.end, self.actor, f"{kind}.end",
+                              self.detail, self.op_id, self.span_id,
+                              self.parent_id)
+        detail = (self.name if self.parent is None
+                  else f"{self.category} {self.name}".rstrip())
+        return TraceEvent(self.start, self.actor, f"{kind}.start", detail,
+                          self.op_id, self.span_id, self.parent_id)
+
 
 class Tracer:
-    """Append-only, filterable event log with span reassembly."""
+    """Append-only, filterable event log of point events and span records."""
 
     def __init__(self, capacity: int = 1_000_000):
         self.capacity = capacity
-        self._events: List[TraceEvent] = []
+        #: Emission order: a :class:`Span` at its open and its close,
+        #: point events as :class:`TraceEvent`.
+        self._log: List[Any] = []
         self.dropped = 0
+        #: Events cleared before ``_log[0]`` (see :attr:`Span.seq`).
+        self._base = 0
+        #: Roots whose start is logged, by op_id, and how many are open.
+        self._roots: Dict[int, Span] = {}
+        self._open_ops = 0
         self._next_op_id = 0
         self._next_span_id = 0
         self.enabled = True
-        #: Per-process stacks of in-flight span contexts.  Child stages
-        #: running inside the same DES process (cache RPCs, network
-        #: transfers) look their parent up here; cross-process stages
-        #: (commit drain) carry the ids on their messages instead.
-        self._ctx: Dict[Any, List[SpanContext]] = {}
+        #: Per-process stacks of in-flight spans.  Child stages running
+        #: inside the same DES process (cache RPCs, network transfers)
+        #: look their parent up here; cross-process stages (commit
+        #: drain) carry the span on their messages instead.
+        self._ctx: Dict[Any, List[Span]] = {}
 
     # -- emission ----------------------------------------------------------
-    def new_op_id(self) -> int:
-        self._next_op_id += 1
-        return self._next_op_id
-
-    def new_span_id(self) -> int:
-        self._next_span_id += 1
-        return self._next_span_id
-
     def emit(self, time: float, actor: str, kind: str, detail: str = "",
              op_id: Optional[int] = None, span_id: Optional[int] = None,
              parent_id: Optional[int] = None) -> None:
+        """Log one point event (spans go through :meth:`span_start`)."""
         if not self.enabled:
             return
-        if len(self._events) >= self.capacity:
+        if len(self._log) >= self.capacity:
             self.dropped += 1
             return
-        self._events.append(TraceEvent(time, actor, kind, detail, op_id,
-                                       span_id, parent_id))
+        self._log.append(TraceEvent(time, actor, kind, detail, op_id,
+                                    span_id, parent_id))
 
-    # -- span contexts -----------------------------------------------------
-    def root_context(self) -> SpanContext:
-        """A fresh root context for one client operation."""
-        return SpanContext(op_id=self.new_op_id(),
-                           span_id=self.new_span_id(), parent_id=None)
+    # -- spans -------------------------------------------------------------
+    def root_context(self) -> Span:
+        """A fresh root span for one client operation."""
+        self._next_op_id += 1
+        self._next_span_id += 1
+        return Span(self._next_op_id, self._next_span_id)
 
-    def child_context(self, parent: SpanContext) -> SpanContext:
-        return SpanContext(op_id=parent.op_id, span_id=self.new_span_id(),
-                           parent_id=parent.span_id)
+    def child_context(self, parent: Span) -> Span:
+        """A fresh span under ``parent`` (opened by :meth:`span_start`)."""
+        self._next_span_id += 1
+        return Span(parent.op_id, self._next_span_id, parent)
 
-    def adopt_context(self, op_id: int, span_id: int) -> SpanContext:
-        """Rebuild a context from ids carried across a process boundary
-        (e.g. on an OpMessage), so downstream spans parent correctly."""
-        return SpanContext(op_id=op_id, span_id=span_id, parent_id=None)
+    def push_context(self, process: Any, span: Span) -> None:
+        self._ctx.setdefault(process, []).append(span)
 
-    def push_context(self, process: Any, ctx: SpanContext) -> None:
-        self._ctx.setdefault(process, []).append(ctx)
-
-    def pop_context(self, process: Any, ctx: SpanContext) -> None:
+    def pop_context(self, process: Any, span: Span) -> None:
         stack = self._ctx.get(process)
-        if stack and stack[-1] is ctx:
+        if stack and stack[-1] is span:
             stack.pop()
         if not stack:
             self._ctx.pop(process, None)
 
-    def current_context(self, process: Any) -> Optional[SpanContext]:
+    def current_context(self, process: Any) -> Optional[Span]:
         stack = self._ctx.get(process)
         return stack[-1] if stack else None
 
-    def span_start(self, time: float, actor: str, ctx: SpanContext,
+    def span_start(self, time: float, actor: str, span: Span,
                    category: str, name: str = "") -> None:
-        detail = f"{category} {name}".rstrip()
-        self.emit(time, actor, "span.start", detail, op_id=ctx.op_id,
-                  span_id=ctx.span_id, parent_id=ctx.parent_id)
+        """Open ``span`` and link it under its parent (a root: the op)."""
+        if not self.enabled:
+            return
+        log = self._log
+        if len(log) >= self.capacity:
+            self.dropped += 1
+            return
+        span.actor = actor
+        span.category = category
+        span.name = name
+        span.start = time
+        span.seq = self._base + len(log)
+        log.append(span)
+        parent = span.parent
+        if parent is None:
+            self._roots[span.op_id] = span
+            self._open_ops += 1
+            return
+        if parent.seq < self._base:
+            # The parent's start is not in the log (tracer switched off
+            # or cleared meanwhile): hang the span on its op's root.
+            while parent.parent is not None:
+                parent = parent.parent
+        if parent.children:
+            parent.children.append(span)
+        else:
+            parent.children = [span]
 
-    def span_end(self, time: float, actor: str, ctx: SpanContext) -> None:
-        self.emit(time, actor, "span.end", "", op_id=ctx.op_id,
-                  span_id=ctx.span_id, parent_id=ctx.parent_id)
+    def span_end(self, time: float, span: Span, detail: str = "") -> None:
+        """Close ``span``; a root's ``detail`` tags its ``op.end``."""
+        if not self.enabled:
+            return
+        log = self._log
+        if len(log) >= self.capacity:
+            self.dropped += 1
+            return
+        if span.end is not None:  # the record keeps its first close
+            log.append(replace(span.event(False), time=time, detail=detail))
+            return
+        span.end = time
+        span.detail = detail
+        log.append(span)
+        if span.parent is None and span.seq >= self._base:
+            self._open_ops -= 1
 
     # -- queries --------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._log)
 
     def events(self, actor: Optional[str] = None,
                kind: Optional[str] = None,
                op_id: Optional[int] = None,
                since: float = 0.0,
                until: float = float("inf")) -> Iterator[TraceEvent]:
-        for ev in self._events:
+        """The flat event view, in emission order, built as it is read."""
+        seq = self._base
+        for entry in self._log:
+            ev = (entry if isinstance(entry, TraceEvent)
+                  else entry.event(entry.seq == seq))
+            seq += 1
             if actor is not None and ev.actor != actor:
                 continue
             if kind is not None and ev.kind != kind:
@@ -193,60 +255,36 @@ class Tracer:
                 continue
             yield ev
 
-    def spans(self) -> Dict[int, Tuple[float, Optional[float], str]]:
-        """op_id -> (start, end, detail) for op.start/op.end events.
+    def point_events(self) -> Iterator[TraceEvent]:
+        """The logged plain events (not span opens/closes), in order."""
+        return (entry for entry in self._log
+                if isinstance(entry, TraceEvent))
 
-        Still-open operations (an ``op.start`` with no matching ``op.end``
-        yet — a hung or in-flight op) are returned as open-ended entries
-        with ``end is None`` rather than silently dropped.
-        """
-        starts: Dict[int, TraceEvent] = {}
-        out: Dict[int, Tuple[float, Optional[float], str]] = {}
-        for ev in self._events:
-            if ev.op_id is None:
-                continue
-            if ev.kind == "op.start":
-                starts[ev.op_id] = ev
-            elif ev.kind == "op.end" and ev.op_id in starts:
-                begin = starts.pop(ev.op_id)
-                out[ev.op_id] = (begin.time, ev.time, begin.detail)
-        for op_id, begin in starts.items():
-            out[op_id] = (begin.time, None, begin.detail)
-        return out
+    def spans(self) -> Dict[int, Tuple[float, Optional[float], str]]:
+        """op_id -> (start, end, detail) for every op; ``end`` is None
+        while it is open (hung or in flight), not silently dropped."""
+        return {op_id: (root.start, root.end, root.name)
+                for op_id, root in self._roots.items()}
 
     def open_span_count(self) -> int:
         """Number of op spans started but not yet ended (hung ops)."""
-        return sum(1 for _s, end, _d in self.spans().values() if end is None)
+        return self._open_ops
 
     # -- span trees and latency attribution ------------------------------------
     def span_trees(self) -> Dict[int, Span]:
-        """All ops' span trees, assembled in one pass over the event log.
-
-        Returns ``{op_id: root Span}`` for every op that emitted an
-        ``op.start`` (roots of never-completed ops have ``end is None``).
-        """
-        return _assemble_span_trees(self._events)
+        """``{op_id: root Span}``; a root is open (``end is None``) until
+        its op completes, and a span dropped at capacity is in no tree."""
+        return dict(self._roots)
 
     def attributions(self) -> Dict[int, Dict[str, Any]]:
         """Latency attribution for every *completed* op, keyed by op_id."""
-        out: Dict[int, Dict[str, Any]] = {}
-        for op_id, root in self.span_trees().items():
-            if root.end is None:
-                continue
-            out[op_id] = _attribute(root)
-        return out
+        return {op_id: _attribute(root)
+                for op_id, root in self._roots.items()
+                if root.end is not None}
 
     def span_tree(self, op_id: int) -> Optional[Span]:
-        """Reassemble the causal span tree for one operation.
-
-        Returns the root :class:`Span` (the client op span) with child
-        stages attached via their ``parent_id`` links, or None when the op
-        never started.  Spans whose parent is unknown (cross-process
-        stages emitted before their parent's start was recorded, capacity
-        drops) attach to the root so nothing disappears.
-        """
-        return _assemble_span_trees(
-            ev for ev in self._events if ev.op_id == op_id).get(op_id)
+        """The op's root :class:`Span`, or None if its start is not logged."""
+        return self._roots.get(op_id)
 
     def attribution(self, op_id: int) -> Optional[Dict[str, Any]]:
         """Critical-path wall-time decomposition for one completed op.
@@ -260,15 +298,16 @@ class Tracer:
         checks, uncategorized stages) is reported explicitly, never
         hidden.  Returns None for ops that never completed.
         """
-        root = self.span_tree(op_id)
+        root = self._roots.get(op_id)
         if root is None or root.end is None:
             return None
         return _attribute(root)
 
     def render(self, limit: int = 200, **filters: Any) -> str:
-        lines = [ev.render() for ev in self.events(**filters)]
-        clipped = len(lines) - limit
-        lines = lines[:limit]
+        """The first ``limit`` matching events; the rest are only counted."""
+        matched = self.events(**filters)
+        lines = [ev.render() for ev in islice(matched, max(limit, 0))]
+        clipped = sum(1 for _ev in matched)
         if clipped > 0:
             lines.append(f"... {clipped} more events")
         open_spans = self.open_span_count()
@@ -280,7 +319,10 @@ class Tracer:
         return "\n".join(lines)
 
     def clear(self) -> None:
-        self._events.clear()
+        self._base += len(self._log)
+        self._log.clear()
+        self._roots.clear()
+        self._open_ops = 0
         self.dropped = 0
         self._ctx.clear()
 
@@ -309,59 +351,12 @@ def _attribute(root: Span) -> Dict[str, Any]:
     }
 
 
-def _assemble_span_trees(events: Iterable[TraceEvent]) -> Dict[int, Span]:
-    """Build ``{op_id: root Span}`` from op and span events.
-
-    Children attach to their ``parent_id`` span, or to the op's root when
-    the parent is unknown; ops without an ``op.start`` have no tree.
-    """
-    roots: Dict[int, Span] = {}
-    spans: Dict[int, Dict[int, Span]] = {}
-    for ev in events:
-        if ev.op_id is None:
-            continue
-        per_op = spans.setdefault(ev.op_id, {})
-        if ev.kind == "op.start":
-            root = Span(op_id=ev.op_id, span_id=ev.span_id or 0,
-                        parent_id=None, actor=ev.actor, category="op",
-                        name=ev.detail, start=ev.time)
-            roots[ev.op_id] = root
-            if ev.span_id is not None:
-                per_op[ev.span_id] = root
-        elif ev.kind == "op.end":
-            root = roots.get(ev.op_id)
-            if root is not None:
-                root.end = ev.time
-        elif ev.kind == "span.start" and ev.span_id is not None:
-            parts = ev.detail.split(" ", 1)
-            per_op[ev.span_id] = Span(
-                op_id=ev.op_id, span_id=ev.span_id,
-                parent_id=ev.parent_id, actor=ev.actor,
-                category=parts[0] if parts else "",
-                name=parts[1] if len(parts) > 1 else "",
-                start=ev.time)
-        elif ev.kind == "span.end" and ev.span_id in per_op:
-            per_op[ev.span_id].end = ev.time
-    for op_id, root in roots.items():
-        per_op = spans.get(op_id, {})
-        for span in per_op.values():
-            if span is root:
-                continue
-            parent = (per_op.get(span.parent_id)
-                      if span.parent_id is not None else None)
-            (parent if parent is not None else root).children.append(span)
-    return roots
-
-
 class _NullTracer(Tracer):
-    """Shared no-op tracer; ``emit`` discards everything."""
+    """Shared no-op tracer: disabled, so it discards everything."""
 
     def __init__(self):
         super().__init__(capacity=0)
         self.enabled = False
-
-    def emit(self, *a, **kw) -> None:  # pragma: no cover - trivial
-        return
 
 
 NULL_TRACER = _NullTracer()

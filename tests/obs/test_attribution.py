@@ -10,7 +10,7 @@ The acceptance properties:
 * the per-class rollup reconstructs each class's mean end-to-end latency
   from its bucket means within 1%  (exact, in fact),
 * on the seeded fig. 7 smoke run the same holds for every op class,
-* with observability off, no SpanContext objects are allocated anywhere
+* with observability off, no Span records are allocated anywhere
   on the hot path.
 """
 
@@ -142,11 +142,11 @@ class TestFig07Acceptance:
 class TestZeroAllocationWhenOff:
     def test_no_span_context_allocated_on_hot_path(self, monkeypatch):
         """With NULL_TRACER/NULL_HUB installed, running a full workload
-        (client ops, commits, barriers) must construct zero SpanContext
-        objects — the guard is ``tracer.enabled``, checked before every
+        (client ops, commits, barriers) must construct zero Span
+        records — the guard is ``tracer.enabled``, checked before every
         context creation.
 
-        SpanContext is only ever constructed inside Tracer methods, which
+        Span is only ever constructed inside Tracer methods, which
         resolve the name through the trace module's globals — so swapping
         the module-level name for an exploding stand-in catches every
         construction path (patching ``__new__`` on the class would work
@@ -157,8 +157,44 @@ class TestZeroAllocationWhenOff:
         class Boom:
             def __init__(self, *args, **kwargs):
                 raise AssertionError(
-                    "SpanContext allocated with tracing off")
+                    "Span allocated with tracing off")
 
-        monkeypatch.setattr(trace_mod, "SpanContext", Boom)
+        monkeypatch.setattr(trace_mod, "Span", Boom)
         world.run(_workload(world.client, "d0"))
         world.quiesce()
+
+
+class TestOneRecordPerSpan:
+    def test_one_record_per_span_and_events_only_for_points(
+            self, monkeypatch):
+        """A traced workload builds exactly one Span record per span in
+        ``span_trees()``, and constructs TraceEvent only for its point
+        events: span opens and closes log the records themselves.
+
+        Counted like TestZeroAllocationWhenOff: the trace module's names
+        are swapped for counting subclasses.
+        """
+        built = {"span": 0, "event": 0}
+
+        class CountedSpan(trace_mod.Span):
+            def __init__(self, *args, **kwargs):
+                built["span"] += 1
+                super().__init__(*args, **kwargs)
+
+        class CountedEvent(trace_mod.TraceEvent):
+            def __init__(self, *args, **kwargs):
+                built["event"] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(trace_mod, "Span", CountedSpan)
+        monkeypatch.setattr(trace_mod, "TraceEvent", CountedEvent)
+        world = _drive(make_observed_world(n_nodes=2, clients_per_node=2))
+        records, events = built["span"], built["event"]
+        tracer = world.hub.tracer
+        spans = [span for root in tracer.span_trees().values()
+                 for span in root.walk()]
+        assert records == len(spans) > 0
+        kinds = [ev.kind for ev in tracer.point_events()]
+        assert events == len(kinds) > 0
+        assert set(kinds) <= {"commit", "barrier", "coalesce", "discard"}
+        assert len(tracer) == 2 * len(spans) + len(kinds)

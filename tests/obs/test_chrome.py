@@ -47,9 +47,7 @@ class TestStructure:
 
     def test_open_span_exported_as_begin_event(self):
         t = Tracer()
-        ctx = t.root_context()
-        t.emit(1.0, "client:x", "op.start", "create /f", op_id=ctx.op_id,
-               span_id=ctx.span_id)
+        t.span_start(1.0, "client:x", t.root_context(), "op", "create /f")
         doc = chrome_trace(t)
         (begin,) = [ev for ev in doc["traceEvents"] if ev["ph"] == "B"]
         assert begin["cat"] == "op"

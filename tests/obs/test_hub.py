@@ -6,6 +6,8 @@ import pytest
 
 from repro.obs.hub import NULL_HUB, MetricsHub
 from repro.obs.sampler import GaugeSampler
+from repro.sim.core import Environment
+from repro.sim.resources import Resource
 
 from tests.obs.conftest import make_observed_world
 
@@ -90,6 +92,32 @@ class TestExport:
         text = world.hub.to_json(indent=2)
         doc = json.loads(text)
         assert json.dumps(doc, sort_keys=True, indent=2) == text
+
+
+class TestResourceWaitObserver:
+    def test_sketch_created_on_first_queued_wait_then_bound(self):
+        env = Environment()
+        hub = MetricsHub()
+        res = Resource(env, capacity=1, name="pool")
+        assert hub.register_resource(res) == "pool"
+        name = "resource.wait[pool]"
+
+        def user(hold):
+            yield res.acquire()
+            yield env.timeout(hold)
+            res.release()
+
+        env.process(user(1.0))
+        env.run()
+        # Uncontended: no queued wait, so no sketch in the export yet.
+        assert name not in hub.stats.sketches()
+        for _ in range(3):
+            env.process(user(2.0))
+        env.run()
+        sketch = hub.stats.sketches()[name]
+        assert sketch.count == 2
+        # Later waits go straight to the sketch, with no name lookup.
+        assert res._wait_observe == sketch.observe
 
 
 class TestSampler:

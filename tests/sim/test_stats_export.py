@@ -38,7 +38,8 @@ class TestTracerDrops:
     def test_render_surfaces_dropped_count(self):
         tracer = Tracer(capacity=2)
         for i in range(5):
-            tracer.emit(float(i), "actor", "op.start", f"e{i}", op_id=i)
+            tracer.span_start(float(i), "actor", tracer.root_context(),
+                              "op", f"e{i}")
         assert len(tracer) == 2
         assert tracer.dropped == 3
         rendered = tracer.render()
@@ -46,7 +47,7 @@ class TestTracerDrops:
 
     def test_render_without_drops_has_no_notice(self):
         tracer = Tracer()
-        tracer.emit(0.0, "actor", "op.start", "e0", op_id=1)
+        tracer.span_start(0.0, "actor", tracer.root_context(), "op", "e0")
         assert "dropped" not in tracer.render()
 
 

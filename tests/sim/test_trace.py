@@ -9,9 +9,10 @@ from tests.core.conftest import make_world
 class TestTracer:
     def test_emit_and_filter(self):
         t = Tracer()
-        t.emit(1.0, "a", "op.start", "create /x", op_id=1)
+        op = t.root_context()
+        t.span_start(1.0, "a", op, "op", "create /x")
         t.emit(2.0, "b", "commit", "create /x")
-        t.emit(3.0, "a", "op.end", "", op_id=1)
+        t.span_end(3.0, op)
         assert len(t) == 3
         assert len(list(t.events(actor="a"))) == 2
         assert len(list(t.events(kind="commit"))) == 1
@@ -20,22 +21,47 @@ class TestTracer:
 
     def test_spans_pairing(self):
         t = Tracer()
-        a = t.new_op_id()
-        b = t.new_op_id()
-        t.emit(1.0, "c", "op.start", "create", op_id=a)
-        t.emit(1.5, "c", "op.start", "mkdir", op_id=b)
-        t.emit(2.0, "c", "op.end", op_id=a)
+        op_a = t.root_context()
+        op_b = t.root_context()
+        a, b = op_a.op_id, op_b.op_id
+        t.span_start(1.0, "c", op_a, "op", "create")
+        t.span_start(1.5, "c", op_b, "op", "mkdir")
+        t.span_end(2.0, op_a)
         spans = t.spans()
         # b never ended: reported as an open-ended entry, not dropped.
         assert spans == {a: (1.0, 2.0, "create"), b: (1.5, None, "mkdir")}
 
     def test_render_reports_open_spans(self):
         t = Tracer()
-        a = t.new_op_id()
-        t.emit(1.0, "c", "op.start", "create", op_id=a)
+        op = t.root_context()
+        t.span_start(1.0, "c", op, "op", "create")
         assert "1 spans still open" in t.render()
-        t.emit(2.0, "c", "op.end", op_id=a)
+        t.span_end(2.0, op)
         assert "still open" not in t.render()
+
+    def test_child_linked_when_it_opens(self):
+        t = Tracer()
+        op = t.root_context()
+        t.span_start(1.0, "c", op, "op", "create /x")
+        child = t.child_context(op)
+        t.span_start(1.5, "net", child, "network", "a->b")
+        assert t.span_tree(op.op_id) is op
+        assert op.children == [child]
+        assert child.parent_id == op.span_id and child.end is None
+        t.span_end(1.75, child)
+        assert child.duration == 0.25
+
+    def test_span_closed_twice_keeps_first_close(self):
+        t = Tracer()
+        op = t.root_context()
+        t.span_start(1.0, "c", op, "op", "create")
+        t.span_end(2.0, op, "create [ok]")
+        t.span_end(3.0, op, "create [again]")
+        assert t.spans() == {op.op_id: (1.0, 2.0, "create")}
+        assert t.open_span_count() == 0
+        assert [(ev.time, ev.kind, ev.detail) for ev in t.events()] == [
+            (1.0, "op.start", "create"), (2.0, "op.end", "create [ok]"),
+            (3.0, "op.end", "create [again]")]
 
     def test_capacity_drops(self):
         t = Tracer(capacity=2)
